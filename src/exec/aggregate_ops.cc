@@ -1,9 +1,8 @@
 #include "exec/aggregate_ops.h"
 
-#include <map>
-#include <unordered_map>
+#include <algorithm>
+#include <set>
 
-#include "common/metrics.h"
 #include "common/string_util.h"
 #include "common/synchronization.h"
 #include "exec/batch.h"
@@ -15,33 +14,8 @@ namespace htg::exec {
 
 namespace {
 
-struct RowHash {
-  size_t operator()(const Row& row) const {
-    size_t h = 14695981039346656037ULL;
-    for (const Value& v : row) {
-      h ^= v.Hash();
-      h *= 1099511628211ULL;
-    }
-    return h;
-  }
-};
-
-struct RowEq {
-  bool operator()(const Row& a, const Row& b) const {
-    if (a.size() != b.size()) return false;
-    for (size_t i = 0; i < a.size(); ++i) {
-      if (a[i].Compare(b[i]) != 0) return false;
-    }
-    return true;
-  }
-};
-
-using GroupMap =
-    std::unordered_map<Row, std::vector<std::unique_ptr<udf::AggregateInstance>>,
-                       RowHash, RowEq>;
-
-// Rough per-group accounting overheads (hash node + instance vector +
-// instance footprints) on top of the key's own bytes.
+// Rough per-group accounting overheads (table slot, hash, key column
+// entries, aggregate state) on top of the key's own bytes.
 constexpr size_t kGroupOverheadBytes = 96;
 constexpr size_t kInstanceOverheadBytes = 64;
 
@@ -123,162 +97,250 @@ struct AggGovernance {
   const char* op_name = "Hash Match (Aggregate)";
 };
 
-// Looks up (or creates) the group for `key`. Group creation is charged
-// against the query budget; once the budget rejects a new group, rows of
-// unseen keys are routed to the spill partitions instead — keys already
-// resident keep accumulating, so every in-map group is complete and
-// disjoint from the spilled keys. Returns end() when the row was routed
-// (caller skips it); `make_input` materializes the input row only on
-// that path.
-template <typename InputFn>
-Result<GroupMap::iterator> FindOrCreateGroup(GroupMap* groups, Row key,
-                                             const std::vector<AggSpec>& aggs,
-                                             AggGovernance* gov,
-                                             InputFn&& make_input) {
-  auto it = groups->find(key);
-  if (it != groups->end()) return it;
-  if (gov != nullptr && gov->charge != nullptr) {
-    const size_t bytes = ApproxRowBytes(key) + kGroupOverheadBytes +
-                         aggs.size() * kInstanceOverheadBytes;
-    Status charged = gov->charge->Add(bytes);
-    if (!charged.ok()) {
-      gov->charge->Release(bytes);  // the group is not being created
-      if (!charged.IsResourceExhausted()) return charged;
-      if (!gov->ctx->CanSpill()) {
-        return SpillUnavailableError(gov->op_name, *gov->ctx->mem);
+// The hash aggregate's group table: open addressing over dense group ids.
+// A row's key is hashed and compared in place, through views of the key
+// columns, and copied once, when its group is created. Aggregate state is
+// one udf::AggregateColumn per aggregate indexed by the same group id, so
+// built-ins update a whole batch inline and only UDAs and DISTINCT keep
+// an object per group (through the generic InstanceColumn adapter).
+//
+// Hash/equality contract: two keys share a group iff Value::Compare()
+// finds every column equal, and Value::Hash() agrees with Compare()
+// (1, 1.0 and -0.0/0 hash alike), so probing by hash loses no match.
+class GroupTable {
+ public:
+  GroupTable(size_t num_keys, const std::vector<AggSpec>& aggs)
+      : keys_(num_keys) {
+    states_.reserve(aggs.size());
+    for (const AggSpec& a : aggs) states_.push_back(a.NewColumn());
+  }
+
+  size_t size() const { return hashes_.size(); }
+  // Accounting bytes of every group created so far.
+  size_t bytes() const { return bytes_; }
+
+  // Resolves row i in [0, n) of `keys` (hash hashes[i]) to its group id
+  // in gids[i], creating missing groups. With `gov` armed, creation is
+  // charged against the query budget first; once the budget refuses a
+  // group, live row i of `batch` goes to the spill (the one place a row
+  // is materialized) and gets udf::kNoGroup. Groups already resident keep
+  // accumulating, so every resident group is complete and disjoint from
+  // the spilled keys.
+  Status Resolve(const std::vector<udf::ValueView>& keys,
+                 const uint64_t* hashes, size_t n, AggGovernance* gov,
+                 const RowBatch* batch, uint32_t* gids) {
+    for (size_t i = 0; i < n; ++i) {
+      if (2 * (size() + 1) > slots_.size()) Grow();
+      const uint64_t h = hashes[i];
+      const uint64_t tag = h & kTagMask;
+      const size_t mask = slots_.size() - 1;
+      size_t idx = h & mask;
+      uint32_t gid = udf::kNoGroup;
+      for (uint64_t slot; (slot = slots_[idx]) != 0; idx = (idx + 1) & mask) {
+        const uint32_t g = static_cast<uint32_t>(slot) - 1;
+        if ((slot & kTagMask) == tag && KeyEquals(g, keys, i)) {
+          gid = g;
+          break;
+        }
       }
-      HTG_RETURN_IF_ERROR(gov->spill->Add(key, make_input()));
-      return groups->end();
+      if (gid == udf::kNoGroup) {
+        size_t bytes = sizeof(Row) + kGroupOverheadBytes +
+                       states_.size() * kInstanceOverheadBytes;
+        for (const udf::ValueView& k : keys) bytes += k[i].ApproxBytes();
+        if (gov != nullptr && gov->charge != nullptr) {
+          Status charged = gov->charge->Add(bytes);
+          if (!charged.ok()) {
+            gov->charge->Release(bytes);  // the group is not being created
+            if (!charged.IsResourceExhausted()) return charged;
+            if (!gov->ctx->CanSpill()) {
+              return SpillUnavailableError(gov->op_name, *gov->ctx->mem);
+            }
+            Row key;
+            for (const udf::ValueView& k : keys) key.push_back(k[i]);
+            Row input;
+            batch->FillRow(i, &input);
+            HTG_RETURN_IF_ERROR(gov->spill->Add(key, input));
+            gids[i] = udf::kNoGroup;
+            continue;
+          }
+        }
+        gid = static_cast<uint32_t>(size());
+        slots_[idx] = tag | (uint64_t{gid} + 1);
+        hashes_.push_back(h);
+        for (size_t k = 0; k < keys.size(); ++k) {
+          keys_[k].push_back(keys[k][i]);
+        }
+        bytes_ += bytes;
+      }
+      gids[i] = gid;
+    }
+    for (auto& state : states_) state->Resize(size());
+    return Status::OK();
+  }
+
+  // Folds row i of args[a] into aggregate a of group gids[i].
+  Status Update(const uint32_t* gids, size_t n,
+                const std::vector<std::vector<udf::ValueView>>& args) {
+    for (size_t a = 0; a < states_.size(); ++a) {
+      HTG_RETURN_IF_ERROR(states_[a]->Update(gids, n, args[a]));
+    }
+    return Status::OK();
+  }
+
+  // Folds the groups of `other` whose hash falls in partition `part` of
+  // `nparts` (all of them when nparts is 1) into this table.
+  Status MergeFrom(const GroupTable& other, size_t part = 0,
+                   size_t nparts = 1) {
+    std::vector<uint32_t> src;
+    std::vector<uint64_t> hashes;
+    for (uint32_t g = 0; g < other.size(); ++g) {
+      if (nparts > 1 && (other.hashes_[g] >> 40) % nparts != part) continue;
+      src.push_back(g);
+      hashes.push_back(other.hashes_[g]);
+    }
+    std::vector<udf::ValueView> keys;
+    for (const std::vector<Value>& col : other.keys_) {
+      keys.push_back(udf::ValueView{col.data(), src.data()});
+    }
+    std::vector<uint32_t> dst(src.size());
+    HTG_RETURN_IF_ERROR(Resolve(keys, hashes.data(), src.size(), nullptr,
+                                nullptr, dst.data()));
+    for (size_t a = 0; a < states_.size(); ++a) {
+      HTG_RETURN_IF_ERROR(states_[a]->Merge(dst.data(), *other.states_[a],
+                                            src.data(), src.size()));
+    }
+    return Status::OK();
+  }
+
+  // Output rows, keys then finalized aggregates, one per group in
+  // creation order; consumes the keys. `global` (no GROUP BY) yields one
+  // row even over no input: SELECT COUNT(*) of nothing is 0.
+  Result<std::vector<Row>> TakeRows(bool global) {
+    const size_t groups = global && size() == 0 ? 1 : size();
+    for (auto& state : states_) state->Resize(groups);
+    std::vector<Row> out;
+    // Output rows replace the table 1:1; callers hold the charge that
+    // already covers it.
+    out.reserve(groups);  // NOLINT(htg-exec-untracked-reserve)
+    for (uint32_t g = 0; g < groups; ++g) {
+      Row row;
+      row.reserve(keys_.size() + states_.size());
+      for (std::vector<Value>& col : keys_) row.push_back(std::move(col[g]));
+      for (auto& state : states_) {
+        HTG_ASSIGN_OR_RETURN(Value v, state->Finalize(g));
+        row.push_back(std::move(v));
+      }
+      out.push_back(std::move(row));
+    }
+    return out;
+  }
+
+ private:
+  // Slots hold the hash's upper half over (group id + 1); 0 is empty.
+  static constexpr uint64_t kTagMask = ~uint64_t{0xffffffff};
+
+  bool KeyEquals(uint32_t g, const std::vector<udf::ValueView>& keys,
+                 size_t i) const {
+    for (size_t k = 0; k < keys.size(); ++k) {
+      if (keys_[k][g].Compare(keys[k][i]) != 0) return false;
+    }
+    return true;
+  }
+
+  // Doubles the slot array (at most half full) and reinserts by hash.
+  void Grow() {
+    std::vector<uint64_t> slots(slots_.empty() ? 64 : 2 * slots_.size(), 0);
+    const size_t mask = slots.size() - 1;
+    for (uint64_t slot : slots_) {
+      if (slot == 0) continue;
+      size_t idx = hashes_[static_cast<uint32_t>(slot) - 1] & mask;
+      while (slots[idx] != 0) idx = (idx + 1) & mask;
+      slots[idx] = slot;
+    }
+    slots_ = std::move(slots);
+  }
+
+  std::vector<std::vector<Value>> keys_;  // [key column][group id]
+  std::vector<uint64_t> hashes_;          // [group id]
+  std::vector<uint64_t> slots_;           // power of two
+  std::vector<std::unique_ptr<udf::AggregateColumn>> states_;
+  size_t bytes_ = 0;
+};
+
+// A group key or aggregate argument over one batch. A column reference
+// is viewed in place; any other expression evaluates into `scratch`.
+struct BatchInput {
+  const Expr* expr;
+  int column;  // >= 0 for a column reference
+  std::vector<Value> scratch;
+
+  explicit BatchInput(const Expr* e) : expr(e), column(-1) {
+    if (const auto* ref = dynamic_cast<const ColumnRefExpr*>(e)) {
+      column = ref->index();
     }
   }
-  std::vector<std::unique_ptr<udf::AggregateInstance>> instances;
-  instances.reserve(aggs.size());
-  for (const AggSpec& a : aggs) instances.push_back(a.NewInstance());
-  return groups->emplace(std::move(key), std::move(instances)).first;
-}
 
-// Drains a child fully into a group map (spilling over-budget keys when
-// `gov` is armed).
-Status BuildGroups(storage::RowIterator* iter,
+  Status View(udf::EvalContext* eval, const RowBatch& batch,
+              const uint32_t* sel, size_t n, udf::ValueView* view) {
+    if (column >= 0) {
+      if (static_cast<size_t>(column) >= batch.num_columns()) {
+        return Status::Internal("column index out of range: " +
+                                expr->ToString());
+      }
+      *view = udf::ValueView{batch.column(column).data(), sel};
+      return Status::OK();
+    }
+    HTG_RETURN_IF_ERROR(expr->EvalBatch(eval, batch, sel, n, &scratch));
+    *view = udf::ValueView{scratch.data(), nullptr};
+    return Status::OK();
+  }
+};
+
+// Drains `iter` a batch at a time into `table` (spilling over-budget keys
+// when `gov` is armed). The one build loop of every hash aggregate: a
+// row-only child (TVF, join, spill run) arrives through the RowIterator
+// batch adapter. Keys hash and probe in place; a spilled row is the only
+// one materialized.
+Status BuildGroups(storage::RowIterator* iter, size_t batch_rows,
                    const std::vector<ExprPtr>& group_exprs,
                    const std::vector<AggSpec>& aggs, udf::EvalContext* eval,
-                   GroupMap* groups, AggGovernance* gov) {
-  Row row;
-  while (iter->Next(&row)) {
-    Row key;
-    key.reserve(group_exprs.size());
-    for (const ExprPtr& g : group_exprs) {
-      HTG_ASSIGN_OR_RETURN(Value v, g->Eval(eval, row));
-      key.push_back(std::move(v));
-    }
-    HTG_ASSIGN_OR_RETURN(
-        GroupMap::iterator it,
-        FindOrCreateGroup(groups, std::move(key), aggs, gov,
-                          [&]() -> const Row& { return row; }));
-    if (it == groups->end()) continue;
-    for (size_t i = 0; i < aggs.size(); ++i) {
-      std::vector<Value> args;
-      args.reserve(aggs[i].args.size());
-      for (const ExprPtr& a : aggs[i].args) {
-        HTG_ASSIGN_OR_RETURN(Value v, a->Eval(eval, row));
-        args.push_back(std::move(v));
-      }
-      HTG_RETURN_IF_ERROR(it->second[i]->Accumulate(args));
-    }
+                   GroupTable* table, AggGovernance* gov) {
+  std::vector<BatchInput> key_inputs;
+  for (const ExprPtr& g : group_exprs) key_inputs.emplace_back(g.get());
+  std::vector<std::vector<BatchInput>> arg_inputs(aggs.size());
+  std::vector<std::vector<udf::ValueView>> args(aggs.size());
+  for (size_t a = 0; a < aggs.size(); ++a) {
+    for (const ExprPtr& e : aggs[a].args) arg_inputs[a].emplace_back(e.get());
+    args[a].resize(aggs[a].args.size());
   }
-  return iter->status();
-}
-
-// Vectorized BuildGroups: group keys and aggregate arguments evaluate as
-// batch kernels, so only the hash probe and the UDA Accumulate call (the
-// per-row seam — udf.uda instances accumulate row-at-a-time by contract)
-// remain per-row work. Spilled rows are reassembled from the (untouched)
-// batch columns.
-Status BuildGroupsBatch(storage::RowIterator* iter, size_t batch_rows,
-                        const std::vector<ExprPtr>& group_exprs,
-                        const std::vector<AggSpec>& aggs,
-                        udf::EvalContext* eval, GroupMap* groups,
-                        AggGovernance* gov) {
+  std::vector<udf::ValueView> keys(group_exprs.size());
+  std::vector<uint64_t> hashes;
+  std::vector<uint32_t> gids;
   RowBatch batch(batch_rows);
-  std::vector<std::vector<Value>> key_cols(group_exprs.size());
-  std::vector<std::vector<std::vector<Value>>> agg_cols(aggs.size());
-  for (size_t i = 0; i < aggs.size(); ++i) {
-    agg_cols[i].resize(aggs[i].args.size());
-  }
-  std::vector<Value> args;
   while (iter->NextBatch(&batch)) {
     const size_t n = batch.ActiveRows();
     const uint32_t* sel = batch.selection_data();
-    for (size_t g = 0; g < group_exprs.size(); ++g) {
-      HTG_RETURN_IF_ERROR(
-          group_exprs[g]->EvalBatch(eval, batch, sel, n, &key_cols[g]));
+    for (size_t k = 0; k < keys.size(); ++k) {
+      HTG_RETURN_IF_ERROR(key_inputs[k].View(eval, batch, sel, n, &keys[k]));
     }
-    for (size_t i = 0; i < aggs.size(); ++i) {
-      for (size_t a = 0; a < aggs[i].args.size(); ++a) {
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      for (size_t j = 0; j < args[a].size(); ++j) {
         HTG_RETURN_IF_ERROR(
-            aggs[i].args[a]->EvalBatch(eval, batch, sel, n, &agg_cols[i][a]));
+            arg_inputs[a][j].View(eval, batch, sel, n, &args[a][j]));
       }
     }
-    for (size_t j = 0; j < n; ++j) {
-      Row key;
-      key.reserve(group_exprs.size());
-      for (size_t g = 0; g < group_exprs.size(); ++g) {
-        key.push_back(std::move(key_cols[g][j]));
-      }
-      HTG_ASSIGN_OR_RETURN(
-          GroupMap::iterator it,
-          FindOrCreateGroup(groups, std::move(key), aggs, gov, [&]() {
-            const size_t r = batch.ActiveIndex(j);
-            Row input;
-            input.reserve(batch.num_columns());
-            for (size_t c = 0; c < batch.num_columns(); ++c) {
-              input.push_back(batch.column(c)[r]);
-            }
-            return input;
-          }));
-      if (it == groups->end()) continue;
-      for (size_t i = 0; i < aggs.size(); ++i) {
-        args.clear();
-        args.reserve(agg_cols[i].size());
-        for (size_t a = 0; a < agg_cols[i].size(); ++a) {
-          args.push_back(std::move(agg_cols[i][a][j]));
-        }
-        HTG_RETURN_IF_ERROR(it->second[i]->Accumulate(args));
+    hashes.assign(n, 0);
+    for (const udf::ValueView& k : keys) {
+      for (size_t i = 0; i < n; ++i) {
+        hashes[i] = (hashes[i] ^ k[i].Hash()) * 0x9e3779b97f4a7c15ULL;
       }
     }
+    gids.resize(n);
+    HTG_RETURN_IF_ERROR(
+        table->Resolve(keys, hashes.data(), n, gov, &batch, gids.data()));
+    HTG_RETURN_IF_ERROR(table->Update(gids.data(), n, args));
   }
   return iter->status();
-}
-
-// Finalizes a group map into output rows.
-Result<std::vector<Row>> FinalizeGroups(GroupMap* groups, size_t num_aggs,
-                                        bool global_aggregate,
-                                        const std::vector<AggSpec>& aggs) {
-  std::vector<Row> out;
-  // Output rows replace the group map 1:1; callers hold the charge that
-  // already covers the map.
-  out.reserve(groups->size());  // NOLINT(htg-exec-untracked-reserve)
-  if (groups->empty() && global_aggregate) {
-    // SELECT COUNT(*) over an empty input still yields one row.
-    Row row;
-    for (const AggSpec& a : aggs) {
-      auto instance = a.NewInstance();
-      HTG_ASSIGN_OR_RETURN(Value v, instance->Terminate());
-      row.push_back(std::move(v));
-    }
-    out.push_back(std::move(row));
-    return out;
-  }
-  for (auto& [key, instances] : *groups) {
-    Row row = key;
-    row.reserve(key.size() + num_aggs);
-    for (auto& instance : instances) {
-      HTG_ASSIGN_OR_RETURN(Value v, instance->Terminate());
-      row.push_back(std::move(v));
-    }
-    out.push_back(std::move(row));
-  }
-  return out;
 }
 
 std::string DescribeAggs(const std::vector<ExprPtr>& group_exprs,
@@ -300,13 +362,63 @@ std::string DescribeAggs(const std::vector<ExprPtr>& group_exprs,
   return out;
 }
 
-// One spill partition awaiting re-aggregation. `level` is the recursion
-// depth of the pass that will process it (its sub-spills salt their hash
-// with this level).
-struct AggSpillWork {
-  storage::SpillFile* file;
-  storage::SpillRun run;
-  int level;
+// The spill partitions still to re-aggregate, each tagged with the
+// recursion depth of the pass that will process it (its sub-spills salt
+// their hash with that level), plus the spill files holding them.
+class AggSpillQueue {
+ public:
+  AggSpillQueue(const std::vector<ExprPtr>* group_exprs,
+                const std::vector<AggSpec>* aggs, ExecContext* ctx,
+                OperatorStats* stats, const char* op_name)
+      : group_exprs_(group_exprs),
+        aggs_(aggs),
+        ctx_(ctx),
+        stats_(stats),
+        op_name_(op_name) {}
+
+  bool empty() const { return work_.empty(); }
+
+  // Seals `spill` and queues its partitions.
+  Status Add(std::unique_ptr<AggSpill> spill) {
+    HTG_ASSIGN_OR_RETURN(std::vector<storage::SpillRun> runs, spill->Finish());
+    for (storage::SpillRun& run : runs) {
+      work_.push_back(Work{spill->file(), std::move(run), spill->level() + 1});
+    }
+    files_.push_back(std::move(spill));
+    return Status::OK();
+  }
+
+  // Re-aggregates the next partition into `table`, charging its new
+  // groups to `charge`; keys the budget refuses spill one level deeper
+  // and join the queue.
+  Status ReaggregateNext(GroupTable* table, MemoryCharge* charge) {
+    Work work = std::move(work_.back());
+    work_.pop_back();
+    if (work.level > kMaxSpillDepth) return SpillDepthError(op_name_);
+    auto sub = std::make_unique<AggSpill>(
+        ctx_->tablespace, ctx_->spill_partitions, work.level, stats_);
+    AggGovernance gov{charge, ctx_, sub.get(), op_name_};
+    storage::SpillRunReader reader(work.file, std::move(work.run));
+    HTG_RETURN_IF_ERROR(BuildGroups(&reader, ctx_->batch_rows, *group_exprs_,
+                                    *aggs_, &ctx_->eval, table, &gov));
+    if (stats_ != nullptr) RecordPeakMem(stats_, charge->peak());
+    return sub->engaged() ? Add(std::move(sub)) : Status::OK();
+  }
+
+ private:
+  struct Work {
+    storage::SpillFile* file;
+    storage::SpillRun run;
+    int level;
+  };
+
+  const std::vector<ExprPtr>* group_exprs_;
+  const std::vector<AggSpec>* aggs_;
+  ExecContext* ctx_;
+  OperatorStats* stats_;
+  const char* op_name_;
+  std::vector<Work> work_;
+  std::vector<std::unique_ptr<AggSpill>> files_;  // keeps spill data alive
 };
 
 // Streams the aggregate's output when the build spilled: emits the
@@ -318,23 +430,14 @@ struct AggSpillWork {
 class SpilledAggIterator : public storage::RowIterator {
  public:
   SpilledAggIterator(std::vector<Row> ready, MemoryCharge charge,
-                     std::unique_ptr<AggSpill> spill,
-                     std::vector<storage::SpillRun> runs,
+                     AggSpillQueue queue,
                      const std::vector<ExprPtr>* group_exprs,
-                     const std::vector<AggSpec>* aggs, ExecContext* ctx,
-                     OperatorStats* stats)
+                     const std::vector<AggSpec>* aggs)
       : ready_(std::move(ready)),
         charge_(std::move(charge)),
+        queue_(std::move(queue)),
         group_exprs_(group_exprs),
-        aggs_(aggs),
-        ctx_(ctx),
-        stats_(stats) {
-    for (storage::SpillRun& run : runs) {
-      worklist_.push_back(
-          AggSpillWork{spill->file(), std::move(run), spill->level() + 1});
-    }
-    spills_.push_back(std::move(spill));
-  }
+        aggs_(aggs) {}
 
   bool Next(Row* out) override {
     if (!status_.ok()) return false;
@@ -343,7 +446,7 @@ class SpilledAggIterator : public storage::RowIterator {
         *out = std::move(ready_[next_ready_++]);
         return true;
       }
-      if (worklist_.empty()) return false;
+      if (queue_.empty()) return false;
       const Status s = ProcessNextPartition();
       if (!s.ok()) {
         status_ = s;
@@ -356,84 +459,48 @@ class SpilledAggIterator : public storage::RowIterator {
 
  private:
   Status ProcessNextPartition() {
-    AggSpillWork work = std::move(worklist_.back());
-    worklist_.pop_back();
-    if (work.level > kMaxSpillDepth) {
-      return SpillDepthError("Hash Match (Aggregate)");
-    }
     ready_.clear();
     next_ready_ = 0;
     charge_.ReleaseAll();  // the previous partition's rows are consumed
-    auto sub = std::make_unique<AggSpill>(
-        ctx_->tablespace, ctx_->spill_partitions, work.level, stats_);
-    AggGovernance gov{&charge_, ctx_, sub.get(), "Hash Match (Aggregate)"};
-    GroupMap groups;
-    storage::SpillRunReader reader(work.file, std::move(work.run));
-    HTG_RETURN_IF_ERROR(BuildGroups(&reader, *group_exprs_, *aggs_,
-                                    &ctx_->eval, &groups, &gov));
-    if (stats_ != nullptr) RecordPeakMem(stats_, charge_.peak());
-    HTG_ASSIGN_OR_RETURN(ready_,
-                         FinalizeGroups(&groups, aggs_->size(), false,
-                                        *aggs_));
-    if (sub->engaged()) {
-      HTG_ASSIGN_OR_RETURN(std::vector<storage::SpillRun> runs,
-                           sub->Finish());
-      for (storage::SpillRun& run : runs) {
-        worklist_.push_back(
-            AggSpillWork{sub->file(), std::move(run), work.level + 1});
-      }
-      spills_.push_back(std::move(sub));
-    }
+    GroupTable groups(group_exprs_->size(), *aggs_);
+    HTG_RETURN_IF_ERROR(queue_.ReaggregateNext(&groups, &charge_));
+    HTG_ASSIGN_OR_RETURN(ready_, groups.TakeRows(false));
     return Status::OK();
   }
 
   std::vector<Row> ready_;
   size_t next_ready_ = 0;
   MemoryCharge charge_;
+  AggSpillQueue queue_;
   const std::vector<ExprPtr>* group_exprs_;
   const std::vector<AggSpec>* aggs_;
-  ExecContext* ctx_;
-  OperatorStats* stats_;
-  std::vector<std::unique_ptr<AggSpill>> spills_;  // keeps files alive
-  std::vector<AggSpillWork> worklist_;
   Status status_;
 };
 
-}  // namespace
-
-namespace {
-
 // Wraps an aggregate with DISTINCT semantics: argument tuples are
-// deduplicated and replayed into a fresh inner instance at Terminate so
-// that Merge (set union) stays correct under parallel plans.
+// deduplicated by Value equality (the order of Value::Compare, so 1.0000001
+// and 1.0000002 stay two values, as they are two GROUP BY groups) and
+// replayed into a fresh inner instance at Terminate, so that Merge (set
+// union) stays correct under parallel plans.
 class DistinctAggregateInstance : public udf::AggregateInstance {
  public:
   explicit DistinctAggregateInstance(const udf::AggregateFunction* fn)
       : fn_(fn) {}
 
   Status Accumulate(const std::vector<Value>& args) override {
-    std::string key;
-    for (const Value& v : args) {
-      if (v.is_null()) {
-        key += "\x01N";
-      } else {
-        key += '\x02';
-        key += v.ToString();
-      }
-    }
-    distinct_.emplace(std::move(key), args);
+    distinct_.insert(args);
     return Status::OK();
   }
 
   Status Merge(const udf::AggregateInstance& other) override {
     const auto& o = static_cast<const DistinctAggregateInstance&>(other);
-    for (const auto& [key, args] : o.distinct_) distinct_.emplace(key, args);
+    distinct_.insert(o.distinct_.begin(), o.distinct_.end());
     return Status::OK();
   }
 
   Result<Value> Terminate() override {
     std::unique_ptr<udf::AggregateInstance> inner = fn_->NewInstance();
-    for (const auto& [key, args] : distinct_) {
+    for (const std::vector<Value>& args : distinct_) {
       HTG_RETURN_IF_ERROR(inner->Accumulate(args));
     }
     return inner->Terminate();
@@ -441,7 +508,7 @@ class DistinctAggregateInstance : public udf::AggregateInstance {
 
  private:
   const udf::AggregateFunction* fn_;
-  std::map<std::string, std::vector<Value>> distinct_;
+  std::set<std::vector<Value>> distinct_;  // lexicographic Value::operator<
 };
 
 }  // namespace
@@ -456,10 +523,11 @@ AggSpec AggSpec::Clone() const {
   return copy;
 }
 
-std::unique_ptr<udf::AggregateInstance> AggSpec::NewInstance() const {
-  HTG_METRIC_COUNTER("udf.uda.instances")->Add(1);
-  if (distinct) return std::make_unique<DistinctAggregateInstance>(fn);
-  return fn->NewInstance();
+std::unique_ptr<udf::AggregateColumn> AggSpec::NewColumn() const {
+  if (!distinct) return fn->NewColumn();
+  const udf::AggregateFunction* f = fn;
+  return std::make_unique<udf::InstanceColumn>(
+      [f] { return std::make_unique<DistinctAggregateInstance>(f); });
 }
 
 DataType AggSpec::result_type() const {
@@ -507,27 +575,24 @@ Result<std::unique_ptr<storage::RowIterator>> HashAggregateOp::OpenImpl(
   auto spill = std::make_unique<AggSpill>(
       ctx->tablespace, ctx->spill_partitions, 0, stats);
   AggGovernance gov{&charge, ctx, spill.get(), "Hash Match (Aggregate)"};
-  GroupMap groups;
-  if (ctx->UseBatches() && child->BatchNative()) {
-    HTG_RETURN_IF_ERROR(BuildGroupsBatch(child.get(), ctx->batch_rows,
-                                         group_exprs_, aggs_, &ctx->eval,
-                                         &groups, &gov));
-  } else {
-    HTG_RETURN_IF_ERROR(BuildGroups(child.get(), group_exprs_, aggs_,
-                                    &ctx->eval, &groups, &gov));
-  }
+  GroupTable groups(group_exprs_.size(), aggs_);
+  HTG_RETURN_IF_ERROR(BuildGroups(child.get(), ctx->batch_rows, group_exprs_,
+                                  aggs_, &ctx->eval, &groups, &gov));
   RecordPeakMem(stats, charge.peak());
+  // A spilled global aggregate gets its one row from the spill pass.
   HTG_ASSIGN_OR_RETURN(
       std::vector<Row> rows,
-      FinalizeGroups(&groups, aggs_.size(), group_exprs_.empty(), aggs_));
+      groups.TakeRows(group_exprs_.empty() && !spill->engaged()));
   if (!spill->engaged()) {
     return {std::make_unique<ChargedRowsIterator>(std::move(rows),
                                                   std::move(charge))};
   }
-  HTG_ASSIGN_OR_RETURN(std::vector<storage::SpillRun> runs, spill->Finish());
+  AggSpillQueue queue(&group_exprs_, &aggs_, ctx, stats,
+                      "Hash Match (Aggregate)");
+  HTG_RETURN_IF_ERROR(queue.Add(std::move(spill)));
   return {std::make_unique<SpilledAggIterator>(
-      std::move(rows), std::move(charge), std::move(spill), std::move(runs),
-      &group_exprs_, &aggs_, ctx, stats)};
+      std::move(rows), std::move(charge), std::move(queue), &group_exprs_,
+      &aggs_)};
 }
 
 std::string HashAggregateOp::Describe() const {
@@ -576,8 +641,9 @@ class StreamAggIterator : public storage::RowIterator {
         }
         key.push_back(std::move(*v));
       }
-      const bool same =
-          has_group_ && RowEq()(key, current_key_);
+      // Value::operator== is Compare() == 0, the group-equality rule.
+      const bool same = has_group_ && std::equal(key.begin(), key.end(),
+                                                 current_key_.begin());
       if (!same && has_group_) {
         // Close the previous group, then start the new one with this row.
         Row result;
@@ -598,23 +664,29 @@ class StreamAggIterator : public storage::RowIterator {
   void StartGroup(Row key) {
     current_key_ = std::move(key);
     has_group_ = true;
-    instances_.clear();
-    for (const AggSpec& a : *aggs_) instances_.push_back(a.NewInstance());
+    states_.clear();
+    for (const AggSpec& a : *aggs_) {
+      states_.push_back(a.NewColumn());
+      states_.back()->Resize(1);
+    }
   }
 
   bool Accumulate(const Row& input) {
+    const uint32_t group = 0;
     for (size_t i = 0; i < aggs_->size(); ++i) {
-      std::vector<Value> args;
-      args.reserve((*aggs_)[i].args.size());
-      for (const ExprPtr& a : (*aggs_)[i].args) {
-        Result<Value> v = a->Eval(eval_, input);
+      const std::vector<ExprPtr>& arg_exprs = (*aggs_)[i].args;
+      args_.resize(arg_exprs.size());
+      views_.resize(arg_exprs.size());
+      for (size_t a = 0; a < arg_exprs.size(); ++a) {
+        Result<Value> v = arg_exprs[a]->Eval(eval_, input);
         if (!v.ok()) {
           status_ = v.status();
           return false;
         }
-        args.push_back(std::move(*v));
+        args_[a] = std::move(*v);
+        views_[a] = udf::ValueView{&args_[a], nullptr};
       }
-      const Status s = instances_[i]->Accumulate(args);
+      const Status s = states_[i]->Update(&group, 1, views_);
       if (!s.ok()) {
         status_ = s;
         return false;
@@ -625,8 +697,8 @@ class StreamAggIterator : public storage::RowIterator {
 
   bool EmitCurrent(Row* out) {
     *out = current_key_;
-    for (auto& instance : instances_) {
-      Result<Value> v = instance->Terminate();
+    for (auto& state : states_) {
+      Result<Value> v = state->Finalize(0);
       if (!v.ok()) {
         status_ = v.status();
         return false;
@@ -643,7 +715,9 @@ class StreamAggIterator : public storage::RowIterator {
   Row current_key_;
   bool has_group_ = false;
   bool done_ = false;
-  std::vector<std::unique_ptr<udf::AggregateInstance>> instances_;
+  std::vector<std::unique_ptr<udf::AggregateColumn>> states_;
+  std::vector<Value> args_;
+  std::vector<udf::ValueView> views_;
   Status status_;
 };
 
@@ -704,10 +778,10 @@ Result<std::unique_ptr<storage::RowIterator>> ParallelAggregateOp::OpenImpl(
 
   // Shared governance: one charge ledger and one partition-spill sink
   // for all workers. A worker that cannot create a new group (budget
-  // crossed) spills its input rows; keys resident in *its* partial map
-  // keep accumulating. The same key may then live in one worker's map
+  // crossed) spills its input rows; keys resident in *its* partial table
+  // keep accumulating. The same key may then live in one worker's table
   // and in the spill partitions, so the spill path below merges
-  // everything (maps and re-aggregated partitions) into one final map.
+  // everything (tables and re-aggregated partitions) into one final table.
   MemoryCharge charge(ctx->mem.get(), "Parallel Hash Match (Aggregate)");
   auto spill = std::make_unique<AggSpill>(
       ctx->tablespace, ctx->spill_partitions, 0, stats);
@@ -716,9 +790,13 @@ Result<std::unique_ptr<storage::RowIterator>> ParallelAggregateOp::OpenImpl(
 
   // Partial phase: workers steal morsels off the shared counter, replay
   // the stage pipeline over each page range, and accumulate into
-  // thread-local partial maps. Expression trees are immutable and shared;
-  // each worker evaluates through its own EvalContext copy.
-  std::vector<GroupMap> partials(dop);
+  // thread-local partial tables. Expression trees are immutable and
+  // shared; each worker evaluates through its own EvalContext copy.
+  std::vector<GroupTable> partials;
+  partials.reserve(dop);
+  for (int w = 0; w < dop; ++w) {
+    partials.emplace_back(group_exprs_.size(), aggs_);
+  }
   std::vector<ExecContext> worker_ctx(dop, *ctx);
   HTG_RETURN_IF_ERROR(ParallelDrainMorsels(
       ctx->pool, dop, morsels.size(), [&](int worker, size_t m) -> Status {
@@ -731,147 +809,72 @@ Result<std::unique_ptr<storage::RowIterator>> ParallelAggregateOp::OpenImpl(
                              pipeline->Open(&worker_ctx[worker]));
         if (ctx->collect_stats) {
           // Count the rows (and batches) this worker feeds its partial
-          // map, for the per-worker skew lines under the exchange in
+          // table, for the per-worker skew lines under the exchange in
           // ANALYZE output.
           iter = WrapCounting(std::move(iter), &stats->worker_rows[worker],
                               &stats->worker_batches[worker]);
           ++stats->worker_morsels[worker];
         }
-        if (ctx->UseBatches() && iter->BatchNative()) {
-          return BuildGroupsBatch(iter.get(), ctx->batch_rows, group_exprs_,
-                                  aggs_, &worker_ctx[worker].eval,
-                                  &partials[worker], &gov);
-        }
-        return BuildGroups(iter.get(), group_exprs_, aggs_,
+        return BuildGroups(iter.get(), ctx->batch_rows, group_exprs_, aggs_,
                            &worker_ctx[worker].eval, &partials[worker], &gov);
       }));
   RecordPeakMem(stats, charge.peak());
 
-  size_t total_groups = 0;
-  for (const GroupMap& p : partials) total_groups += p.size();
-  if (total_groups == 0 && !spill->engaged()) {
-    // SELECT COUNT(*) over an empty input still yields one row.
-    HTG_ASSIGN_OR_RETURN(
-        std::vector<Row> rows,
-        FinalizeGroups(&partials[0], aggs_.size(), group_exprs_.empty(),
-                       aggs_));
-    return {std::make_unique<MaterializedRowsIterator>(std::move(rows))};
-  }
-
   if (spill->engaged()) {
-    // Degraded path: fold every partial map into one final map, then
+    // Degraded path: fold every partial table into one final table, then
     // re-aggregate each spill partition (recursively, fresh budget per
-    // pass) and merge its groups in too — the only ordering that is
-    // correct when a key sits in one worker's map and in the spill.
-    GroupMap merged;
-    const auto merge_in = [&](GroupMap* from) -> Status {
-      for (auto& [key, instances] : *from) {
-        auto it = merged.find(key);
-        if (it == merged.end()) {
-          merged.emplace(key, std::move(instances));
-          continue;
-        }
-        for (size_t a = 0; a < instances.size(); ++a) {
-          HTG_RETURN_IF_ERROR(it->second[a]->Merge(*instances[a]));
-        }
-      }
-      from->clear();
-      return Status::OK();
-    };
-    for (GroupMap& partial : partials) {
-      HTG_RETURN_IF_ERROR(merge_in(&partial));
+    // pass) into it too — the only ordering that is correct when a key
+    // sits in one worker's table and in the spill.
+    GroupTable merged(group_exprs_.size(), aggs_);
+    for (const GroupTable& partial : partials) {
+      HTG_RETURN_IF_ERROR(merged.MergeFrom(partial));
     }
-    // The resident merged map was sized by the budget during the build;
+    partials.clear();
+    // The resident merged table was sized by the budget during the build;
     // release its charges so each partition pass below gets the full
     // budget — otherwise a pass could never admit a group and rows would
-    // re-spill until the depth limit. The map is re-accounted (and the
+    // re-spill until the depth limit. The table is re-accounted (and the
     // peak recorded) once the passes are done.
     charge.ReleaseAll();
-    HTG_ASSIGN_OR_RETURN(std::vector<storage::SpillRun> runs,
-                         spill->Finish());
-    std::vector<AggSpillWork> worklist;
-    std::vector<std::unique_ptr<AggSpill>> spill_files;
-    for (storage::SpillRun& run : runs) {
-      worklist.push_back(
-          AggSpillWork{spill->file(), std::move(run), spill->level() + 1});
-    }
-    spill_files.push_back(std::move(spill));
-    while (!worklist.empty()) {
-      AggSpillWork work = std::move(worklist.back());
-      worklist.pop_back();
-      if (work.level > kMaxSpillDepth) {
-        return SpillDepthError("Parallel Hash Match (Aggregate)");
-      }
+    // Each pass re-aggregates straight into the merged table, charging
+    // its new groups to a fresh pass budget: keys are owned by exactly
+    // one partition per level, so a pass only meets build-time residents.
+    AggSpillQueue queue(&group_exprs_, &aggs_, ctx, stats,
+                        "Parallel Hash Match (Aggregate)");
+    HTG_RETURN_IF_ERROR(queue.Add(std::move(spill)));
+    while (!queue.empty()) {
       MemoryCharge pass_charge(ctx->mem.get(),
                                "Parallel Hash Match (Aggregate)");
-      auto sub = std::make_unique<AggSpill>(
-          ctx->tablespace, ctx->spill_partitions, work.level, stats);
-      AggGovernance pass_gov{&pass_charge, ctx, sub.get(),
-                             "Parallel Hash Match (Aggregate)"};
-      storage::SpillRunReader reader(work.file, std::move(work.run));
-      GroupMap part_groups;
-      HTG_RETURN_IF_ERROR(BuildGroups(&reader, group_exprs_, aggs_,
-                                      &ctx->eval, &part_groups, &pass_gov));
-      RecordPeakMem(stats, pass_charge.peak());
-      // Keys are owned by exactly one partition per level, so a pass's
-      // groups can only collide with build-time residents, never with
-      // another pass.
-      HTG_RETURN_IF_ERROR(merge_in(&part_groups));
-      if (sub->engaged()) {
-        HTG_ASSIGN_OR_RETURN(std::vector<storage::SpillRun> sub_runs,
-                             sub->Finish());
-        for (storage::SpillRun& run : sub_runs) {
-          worklist.push_back(
-              AggSpillWork{sub->file(), std::move(run), work.level + 1});
-        }
-        spill_files.push_back(std::move(sub));
-      }
+      HTG_RETURN_IF_ERROR(queue.ReaggregateNext(&merged, &pass_charge));
     }
-    size_t merged_bytes = 0;
-    for (const auto& [key, instances] : merged) {
-      merged_bytes += ApproxRowBytes(key) + kGroupOverheadBytes +
-                      aggs_.size() * kInstanceOverheadBytes;
-    }
-    charge.AddUnchecked(merged_bytes);
+    charge.AddUnchecked(merged.bytes());
     RecordPeakMem(stats, charge.peak());
-    HTG_ASSIGN_OR_RETURN(
-        std::vector<Row> rows,
-        FinalizeGroups(&merged, aggs_.size(), group_exprs_.empty(), aggs_));
+    HTG_ASSIGN_OR_RETURN(std::vector<Row> rows, merged.TakeRows(false));
     return {std::make_unique<ChargedRowsIterator>(std::move(rows),
                                                   std::move(charge))};
   }
 
   // Final phase: a parallel partitioned merge instead of a serial fold.
   // Groups are owned by hash partition; each partition worker walks every
-  // partial map, merges the entries it owns, and finalizes them. Entries
-  // are only read (key hash) or moved by their owning partition, so the
-  // partial maps need no locking.
+  // partial table, merges the groups it owns, and finalizes them. The
+  // partial tables are only read, so they need no locking. A global
+  // aggregate's one key hashes to 0, so partition 0 owns it and yields its
+  // row even over an empty input.
   const size_t nparts = static_cast<size_t>(dop);
   std::vector<std::vector<Row>> out_parts(nparts);
   HTG_RETURN_IF_ERROR(ParallelDrainMorsels(
       ctx->pool, dop, nparts, [&](int, size_t part) -> Status {
-        GroupMap merged;
-        for (GroupMap& partial : partials) {
-          for (auto& [key, instances] : partial) {
-            if (RowHash()(key) % nparts != part) continue;
-            auto it = merged.find(key);
-            if (it == merged.end()) {
-              merged.emplace(key, std::move(instances));
-              continue;
-            }
-            for (size_t a = 0; a < instances.size(); ++a) {
-              HTG_RETURN_IF_ERROR(it->second[a]->Merge(*instances[a]));
-            }
-          }
+        GroupTable merged(group_exprs_.size(), aggs_);
+        for (const GroupTable& partial : partials) {
+          HTG_RETURN_IF_ERROR(merged.MergeFrom(partial, part, nparts));
         }
         HTG_ASSIGN_OR_RETURN(
             out_parts[part],
-            FinalizeGroups(&merged, aggs_.size(), false, aggs_));
+            merged.TakeRows(part == 0 && group_exprs_.empty()));
         return Status::OK();
       }));
 
   std::vector<Row> rows;
-  rows.reserve(total_groups);
   for (std::vector<Row>& part : out_parts) {
     for (Row& r : part) rows.push_back(std::move(r));
     part.clear();

@@ -21,9 +21,9 @@ struct AggSpec {
 
   AggSpec Clone() const;
   DataType result_type() const;
-  // Instance factory; wraps the function's instance with a distinct
-  // filter when `distinct` is set.
-  std::unique_ptr<udf::AggregateInstance> NewInstance() const;
+  // State factory: the function's column, or with `distinct` set the
+  // generic adapter over instances that deduplicate their arguments.
+  std::unique_ptr<udf::AggregateColumn> NewColumn() const;
 };
 
 // Builds the aggregate output schema: group columns then aggregates.
@@ -86,7 +86,7 @@ class StreamAggregateOp : public Operator {
 // plan, scheduled at morsel granularity: workers steal page-range morsels
 // of the heap scan from a shared counter, replay the stage pipeline
 // (filter / CROSS APPLY) per morsel, and accumulate into thread-local
-// partial GroupMaps. The final merge is itself parallel — groups are
+// partial group tables. The final merge is itself parallel — groups are
 // partitioned by hash and each partition merges/finalizes on its own
 // worker — and results stream out of the gather. Requires every aggregate
 // to SupportsMerge().

@@ -1,6 +1,7 @@
 #include "exec/expression.h"
 
 #include <cmath>
+#include <cstdint>
 
 #include "common/metrics.h"
 #include "common/string_util.h"
@@ -80,25 +81,33 @@ Result<Value> EvalArithmetic(BinaryOp op, const Value& l, const Value& r) {
         break;
     }
   }
+  // Integer results that do not fit int64 are a typed error, never a
+  // wrap (or, for INT64_MIN / -1, a SIGFPE that kills the process).
   const int64_t a = l.AsInt64();
   const int64_t b = r.AsInt64();
+  int64_t out = 0;
+  bool overflow = false;
   switch (op) {
     case BinaryOp::kAdd:
-      return Value::Int64(a + b);
+      overflow = __builtin_add_overflow(a, b, &out);
+      break;
     case BinaryOp::kSub:
-      return Value::Int64(a - b);
+      overflow = __builtin_sub_overflow(a, b, &out);
+      break;
     case BinaryOp::kMul:
-      return Value::Int64(a * b);
+      overflow = __builtin_mul_overflow(a, b, &out);
+      break;
     case BinaryOp::kDiv:
-      if (b == 0) return Status::ExecError("division by zero");
-      return Value::Int64(a / b);
     case BinaryOp::kMod:
       if (b == 0) return Status::ExecError("division by zero");
-      return Value::Int64(a % b);
-    default:
+      overflow = a == INT64_MIN && b == -1;
+      if (!overflow) out = op == BinaryOp::kDiv ? a / b : a % b;
       break;
+    default:
+      return Status::Internal("bad arithmetic operator");
   }
-  return Status::Internal("bad arithmetic operator");
+  if (overflow) return Status::ExecError("arithmetic overflow");
+  return Value::Int64(out);
 }
 
 }  // namespace
@@ -184,6 +193,7 @@ Result<Value> UnaryExpr::Eval(udf::EvalContext* ctx, const Row& row) const {
   if (v.is_null()) return Value::Null();
   if (op_ == Op::kNot) return Value::Bool(!v.AsBool());
   if (v.IsDoubleKind()) return Value::Double(-v.AsDouble());
+  if (v.AsInt64() == INT64_MIN) return Status::ExecError("arithmetic overflow");
   return Value::Int64(-v.AsInt64());
 }
 
@@ -455,6 +465,8 @@ Status UnaryExpr::EvalBatch(udf::EvalContext* ctx, const RowBatch& batch,
       v = Value::Bool(!v.AsBool());
     } else if (v.IsDoubleKind()) {
       v = Value::Double(-v.AsDouble());
+    } else if (v.AsInt64() == INT64_MIN) {
+      return Status::ExecError("arithmetic overflow");
     } else {
       v = Value::Int64(-v.AsInt64());
     }

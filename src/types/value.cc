@@ -1,6 +1,9 @@
 #include "types/value.h"
 
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <string_view>
 #include <vector>
 
 #include "common/string_util.h"
@@ -30,32 +33,42 @@ int Value::Compare(const Value& other) const {
   return IsStringKind() ? 1 : -1;
 }
 
+namespace {
+
+// Murmur3's 64-bit finalizer: every input bit reaches every output bit,
+// so hash tables may index by the low bits directly.
+inline uint64_t Mix64(uint64_t x) {
+  x ^= x >> 33;
+  x *= 0xff51afd7ed558ccdULL;
+  x ^= x >> 33;
+  x *= 0xc4ceb9fe1a85ec53ULL;
+  x ^= x >> 33;
+  return x;
+}
+
+}  // namespace
+
 size_t Value::Hash() const {
-  constexpr size_t kFnvOffset = 1469598103934665603ULL;
-  constexpr size_t kFnvPrime = 1099511628211ULL;
-  size_t h = kFnvOffset;
-  auto mix_bytes = [&h](const char* p, size_t n) {
-    for (size_t i = 0; i < n; ++i) {
-      h ^= static_cast<unsigned char>(p[i]);
-      h *= kFnvPrime;
-    }
-  };
-  if (is_null()) {
-    h ^= 0x7f;
-    h *= kFnvPrime;
-    return h;
-  }
+  if (is_null()) return 0x7f4a7c159e3779b9ULL;
+  if (IsStringKind()) return std::hash<std::string_view>()(AsString());
+  // Numbers hash by numeric value, because Compare() equates an integer
+  // with a double holding the same value: an integral double in int64
+  // range (-0.0 included) hashes as that int64. An integer is hashed
+  // through the double Compare() would convert it to, so an int64 beyond
+  // 2^53 meets the double it rounds to.
+  constexpr int64_t kExact = int64_t{1} << 53;
   if (IsIntegerKind()) {
     const int64_t v = AsInt64();
-    mix_bytes(reinterpret_cast<const char*>(&v), sizeof(v));
-  } else if (IsDoubleKind()) {
-    const double v = AsDouble();
-    mix_bytes(reinterpret_cast<const char*>(&v), sizeof(v));
-  } else {
-    const std::string& s = AsString();
-    mix_bytes(s.data(), s.size());
+    if (v >= -kExact && v <= kExact) return Mix64(static_cast<uint64_t>(v));
   }
-  return h;
+  const double d = AsDouble();
+  if (d >= -9223372036854775808.0 && d < 9223372036854775808.0 &&
+      d == std::trunc(d)) {
+    return Mix64(static_cast<uint64_t>(static_cast<int64_t>(d)));
+  }
+  uint64_t bits = 0;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return Mix64(bits);
 }
 
 std::string Value::ToString() const {

@@ -62,7 +62,10 @@ class Value {
   bool operator==(const Value& other) const { return Compare(other) == 0; }
   bool operator<(const Value& other) const { return Compare(other) < 0; }
 
-  // Stable hash for hash-based operators (FNV over kind + bytes).
+  // Hash for hash-based operators (join, group table, spill partitions),
+  // consistent with Compare(): values that compare equal hash equal, also
+  // across numeric kinds (1, 1.0 and -0.0 vs 0). Not stable across builds;
+  // never persist it.
   size_t Hash() const;
 
   // Approximate resident bytes of this value, used by the executor's

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -90,6 +91,69 @@ class AggregateInstance {
   virtual Result<Value> Terminate() = 0;
 };
 
+// Group id of a row that joined no group (a hash aggregate spilled it):
+// AggregateColumn::Update skips such rows.
+inline constexpr uint32_t kNoGroup = UINT32_MAX;
+
+// One aggregate argument (or group key) over n rows: row i is
+// values[sel[i]], or values[i] when sel is null. Views read batch columns
+// in place, so feeding an aggregate copies no value.
+struct ValueView {
+  const Value* values = nullptr;
+  const uint32_t* sel = nullptr;
+
+  const Value& operator[](size_t i) const {
+    return values[sel != nullptr ? sel[i] : i];
+  }
+};
+
+// The state of one aggregate for many groups at once, one slot per dense
+// group id: the protocol a hash aggregate drives, one batch per call.
+// Built-ins keep their state inline in typed vectors; every other
+// aggregate runs through InstanceColumn, one AggregateInstance per group.
+// Same ownership rules as AggregateInstance: a column belongs to one
+// worker, and Merge() reads `other` while its owner is idle.
+class AggregateColumn {
+ public:
+  virtual ~AggregateColumn() = default;
+
+  // Grows to `groups` slots; new slots hold the empty state.
+  virtual void Resize(size_t groups) = 0;
+
+  // Folds row i into group gids[i] for i in [0, n), skipping kNoGroup.
+  // args[a] is the view of argument a (COUNT(*) gets none).
+  virtual Status Update(const uint32_t* gids, size_t n,
+                        const std::vector<ValueView>& args) = 0;
+
+  // Folds group src[i] of `other` (a column of the same aggregate) into
+  // group dst[i], for i in [0, n).
+  virtual Status Merge(const uint32_t* dst, const AggregateColumn& other,
+                       const uint32_t* src, size_t n) = 0;
+
+  virtual Result<Value> Finalize(uint32_t group) = 0;
+};
+
+// The generic adapter: one instance per group from `factory`, fed row by
+// row through the unchanged Accumulate/Merge/Terminate contract. Every
+// instance it creates counts in udf.uda.instances.
+class InstanceColumn : public AggregateColumn {
+ public:
+  using Factory = std::function<std::unique_ptr<AggregateInstance>()>;
+  explicit InstanceColumn(Factory factory) : factory_(std::move(factory)) {}
+
+  void Resize(size_t groups) override;
+  Status Update(const uint32_t* gids, size_t n,
+                const std::vector<ValueView>& args) override;
+  Status Merge(const uint32_t* dst, const AggregateColumn& other,
+               const uint32_t* src, size_t n) override;
+  Result<Value> Finalize(uint32_t group) override;
+
+ private:
+  Factory factory_;
+  std::vector<std::unique_ptr<AggregateInstance>> instances_;
+  std::vector<Value> args_;  // reused per row: no allocation once warm
+};
+
 // Factory + metadata for an aggregate function (built-in or UDA).
 class AggregateFunction {
  public:
@@ -104,6 +168,12 @@ class AggregateFunction {
   virtual bool SupportsMerge() const { return true; }
 
   virtual std::unique_ptr<AggregateInstance> NewInstance() const = 0;
+
+  // Columnar state for the hash aggregate. The default wraps NewInstance()
+  // in an InstanceColumn, so a UDA implements only the instance contract.
+  virtual std::unique_ptr<AggregateColumn> NewColumn() const {
+    return std::make_unique<InstanceColumn>([this] { return NewInstance(); });
+  }
 };
 
 }  // namespace htg::udf

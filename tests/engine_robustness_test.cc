@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 
 #include "genomics/register.h"
@@ -193,6 +194,96 @@ TEST_F(RobustnessTest, ErrorMessagesNameTheProblem) {
   r = engine_->Execute("SELECT FROBNICATE(a) FROM t");
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("FROBNICATE"), std::string::npos);
+}
+
+// Integer overflow is a typed kExecError: never a wrapped result, and never
+// a SIGFPE (INT64_MIN / -1 traps in hardware) that takes the process down.
+TEST_F(RobustnessTest, IntegerOverflowIsTypedError) {
+  Exec("CREATE TABLE t (a BIGINT)");
+  Exec("INSERT INTO t VALUES (1)");
+  for (const char* sql : {
+           "SELECT (0 - 9223372036854775807 - 1) / (0 - 1) FROM t",
+           "SELECT (0 - 9223372036854775807 - 1) % (0 - 1) FROM t",
+           "SELECT 9223372036854775807 + a FROM t",
+           "SELECT (0 - 9223372036854775807) - 2 FROM t",
+           "SELECT 4611686018427387904 * 2 FROM t",
+           "SELECT -(0 - 9223372036854775807 - 1) FROM t",
+       }) {
+    Result<QueryResult> r = engine_->Execute(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), StatusCode::kExecError) << sql;
+    EXPECT_NE(r.status().message().find("arithmetic overflow"),
+              std::string::npos)
+        << r.status().ToString();
+  }
+  // In-range arithmetic near the limits still answers.
+  QueryResult ok = Exec(
+      "SELECT (0 - 9223372036854775807 - 1) / 1, "
+      "9223372036854775807 - a, 7 % (0 - 1) FROM t");
+  EXPECT_EQ(ok.rows[0][0].AsInt64(), INT64_MIN);
+  EXPECT_EQ(ok.rows[0][1].AsInt64(), INT64_MAX - 1);
+  EXPECT_EQ(ok.rows[0][2].AsInt64(), 0);
+}
+
+TEST_F(RobustnessTest, SumOverflowIsTypedError) {
+  Exec("CREATE TABLE t (k INT, v BIGINT)");
+  Exec("INSERT INTO t VALUES (1, 9223372036854775807), (1, 1), (2, 5)");
+  for (const char* sql : {"SELECT SUM(v) FROM t",
+                          "SELECT k, SUM(v) FROM t GROUP BY k"}) {
+    Result<QueryResult> r = engine_->Execute(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), StatusCode::kExecError) << sql;
+    EXPECT_NE(r.status().message().find("arithmetic overflow"),
+              std::string::npos);
+  }
+  QueryResult ok = Exec("SELECT SUM(v) FROM t WHERE k = 2");
+  EXPECT_EQ(ok.rows[0][0].AsInt64(), 5);
+}
+
+// SUM/AVG over strings is a typed error, not a bad_variant_access abort.
+TEST_F(RobustnessTest, NumericAggregateOverStringIsTypedError) {
+  Exec("CREATE TABLE t (s VARCHAR(10))");
+  Exec("INSERT INTO t VALUES ('x')");
+  for (const char* sql : {"SELECT SUM(s) FROM t", "SELECT AVG(s) FROM t"}) {
+    Result<QueryResult> r = engine_->Execute(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), StatusCode::kExecError) << sql;
+  }
+}
+
+// Value::Hash agrees with Value::Compare across numeric kinds, so an
+// INT = FLOAT hash join finds the rows the equivalent filter finds.
+TEST_F(RobustnessTest, IntEqualsFloatHashJoinMatchesFilter) {
+  Exec("CREATE TABLE a (x INT)");
+  Exec("CREATE TABLE b (y FLOAT)");
+  Exec("INSERT INTO a VALUES (1), (2), (0)");
+  Exec("INSERT INTO b VALUES (1.0), (2.0), (2.5), (-0.0)");
+  QueryResult plan = Exec("EXPLAIN SELECT x, y FROM a JOIN b ON (x = y)");
+  EXPECT_NE(plan.ToString().find("Hash Match"), std::string::npos)
+      << plan.ToString();
+  QueryResult join = Exec("SELECT x FROM a JOIN b ON (x = y) ORDER BY x");
+  int64_t filtered = 0;
+  for (const char* y : {"1.0", "2.0", "2.5", "-0.0"}) {
+    filtered += Exec(std::string("SELECT COUNT(*) FROM a WHERE x = ") + y)
+                    .rows[0][0]
+                    .AsInt64();
+  }
+  ASSERT_EQ(static_cast<int64_t>(join.rows.size()), filtered);
+  ASSERT_EQ(join.rows.size(), 3u);
+  EXPECT_EQ(join.rows[0][0].AsInt64(), 0);
+  EXPECT_EQ(join.rows[1][0].AsInt64(), 1);
+  EXPECT_EQ(join.rows[2][0].AsInt64(), 2);
+}
+
+// COUNT(DISTINCT) dedupes by value, agreeing with GROUP BY.
+TEST_F(RobustnessTest, CountDistinctDedupesByValueNotText) {
+  Exec("CREATE TABLE t (v FLOAT)");
+  Exec("INSERT INTO t VALUES (1.0000001), (1.0000002), (1.0000001)");
+  QueryResult distinct = Exec("SELECT COUNT(DISTINCT v) FROM t");
+  QueryResult groups =
+      Exec("SELECT COUNT(*) FROM (SELECT v FROM t GROUP BY v) g");
+  EXPECT_EQ(distinct.rows[0][0].AsInt64(), 2);
+  EXPECT_EQ(groups.rows[0][0].AsInt64(), 2);
 }
 
 }  // namespace

@@ -216,6 +216,31 @@ TEST_F(ServerTest, StatementErrorKeepsSessionUsable) {
   EXPECT_EQ(ok.rows[0][0].AsInt64(), 2);
 }
 
+// INT64_MIN / -1 used to SIGFPE the whole server; now the statement fails
+// typed and both the session and the server keep serving.
+TEST_F(ServerTest, ArithmeticOverflowKeepsServerUp) {
+  StartServer();
+  std::unique_ptr<Client> client = Connect();
+  ASSERT_NE(client, nullptr);
+  Query(client.get(), "CREATE TABLE ovf (a BIGINT)");
+  Query(client.get(), "INSERT INTO ovf VALUES (1)");
+  for (const char* sql :
+       {"SELECT (0 - 9223372036854775807 - 1) / (0 - 1) FROM ovf",
+        "SELECT (0 - 9223372036854775807 - 1) % (0 - 1) FROM ovf"}) {
+    auto r = client->Query(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), StatusCode::kExecError) << sql;
+  }
+  const ClientResult same = Query(client.get(), "SELECT COUNT(*) FROM ovf");
+  ASSERT_EQ(same.rows.size(), 1u);
+  EXPECT_EQ(same.rows[0][0].AsInt64(), 1);
+  std::unique_ptr<Client> other = Connect();
+  ASSERT_NE(other, nullptr);
+  const ClientResult fresh = Query(other.get(), "SELECT 1 + 1 AS two");
+  ASSERT_EQ(fresh.rows.size(), 1u);
+  EXPECT_EQ(fresh.rows[0][0].AsInt64(), 2);
+}
+
 TEST_F(ServerTest, ConcurrentReadersAndWriterInterleave) {
   ServerOptions options;
   options.threads = 8;
