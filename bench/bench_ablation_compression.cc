@@ -137,9 +137,9 @@ void BM_HeapInsertScan(benchmark::State& state) {
     HeapTable table(ReadSchema(), mode);
     for (const Row& r : rows) bench::CheckOk(table.Insert(r), "Insert");
     auto iter = table.NewScan();
-    Row row;
+    RowBatch batch;
     int count = 0;
-    while (iter->Next(&row)) ++count;
+    while (iter->NextBatch(&batch)) count += static_cast<int>(batch.num_rows());
     if (count != static_cast<int>(rows.size())) state.SkipWithError("lost rows");
   }
   state.SetItemsProcessed(state.iterations() *

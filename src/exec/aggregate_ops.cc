@@ -213,24 +213,34 @@ class GroupTable {
   }
 
   // Output rows, keys then finalized aggregates, one per group in
-  // creation order; consumes the keys. `global` (no GROUP BY) yields one
-  // row even over no input: SELECT COUNT(*) of nothing is 0.
-  Result<std::vector<Row>> TakeRows(bool global) {
+  // creation order, as batches of `batch_rows` rows; consumes the keys.
+  // `global` (no GROUP BY) yields one row even over no input: SELECT
+  // COUNT(*) of nothing is 0.
+  Result<std::vector<RowBatch>> TakeBatches(bool global, size_t batch_rows) {
     const size_t groups = global && size() == 0 ? 1 : size();
     for (auto& state : states_) state->Resize(groups);
-    std::vector<Row> out;
-    // Output rows replace the table 1:1; callers hold the charge that
-    // already covers it.
-    out.reserve(groups);  // NOLINT(htg-exec-untracked-reserve)
-    for (uint32_t g = 0; g < groups; ++g) {
-      Row row;
-      row.reserve(keys_.size() + states_.size());
-      for (std::vector<Value>& col : keys_) row.push_back(std::move(col[g]));
-      for (auto& state : states_) {
-        HTG_ASSIGN_OR_RETURN(Value v, state->Finalize(g));
-        row.push_back(std::move(v));
+    std::vector<RowBatch> out;
+    for (size_t first = 0; first < groups; first += batch_rows) {
+      const size_t end = std::min(groups, first + batch_rows);
+      RowBatch batch(batch_rows);
+      batch.ResetColumns(keys_.size() + states_.size());
+      for (size_t k = 0; k < keys_.size(); ++k) {
+        std::vector<Value>& col = batch.column(k);
+        col.reserve(end - first);
+        for (size_t g = first; g < end; ++g) {
+          col.push_back(std::move(keys_[k][g]));
+        }
       }
-      out.push_back(std::move(row));
+      for (size_t a = 0; a < states_.size(); ++a) {
+        std::vector<Value>& col = batch.column(keys_.size() + a);
+        col.reserve(end - first);
+        for (size_t g = first; g < end; ++g) {
+          HTG_ASSIGN_OR_RETURN(Value v, states_[a]->Finalize(g));
+          col.push_back(std::move(v));
+        }
+      }
+      batch.set_num_rows(end - first);
+      out.push_back(std::move(batch));
     }
     return out;
   }
@@ -298,8 +308,8 @@ struct BatchInput {
 
 // Drains `iter` a batch at a time into `table` (spilling over-budget keys
 // when `gov` is armed). The one build loop of every hash aggregate: a
-// row-only child (TVF, join, spill run) arrives through the RowIterator
-// batch adapter. Keys hash and probe in place; a spilled row is the only
+// per-row producer (TVF, join, spill run) arrives through the RowSource
+// batch fill. Keys hash and probe in place; a spilled row is the only
 // one materialized.
 Status BuildGroups(storage::RowIterator* iter, size_t batch_rows,
                    const std::vector<ExprPtr>& group_exprs,
@@ -427,35 +437,32 @@ class AggSpillQueue {
 // still blow the budget sub-partition recursively with a new hash salt).
 // Owns every spill file involved, so the data is deleted with the
 // iterator.
-class SpilledAggIterator : public storage::RowIterator {
+class SpilledAggIterator : public BatchIterator {
  public:
-  SpilledAggIterator(std::vector<Row> ready, MemoryCharge charge,
+  SpilledAggIterator(std::vector<RowBatch> ready, MemoryCharge charge,
                      AggSpillQueue queue,
                      const std::vector<ExprPtr>* group_exprs,
-                     const std::vector<AggSpec>* aggs)
+                     const std::vector<AggSpec>* aggs, size_t batch_rows)
       : ready_(std::move(ready)),
         charge_(std::move(charge)),
         queue_(std::move(queue)),
         group_exprs_(group_exprs),
-        aggs_(aggs) {}
+        aggs_(aggs),
+        batch_rows_(batch_rows) {}
 
-  bool Next(Row* out) override {
+ protected:
+  bool ProduceBatch(RowBatch* batch) override {
     if (!status_.ok()) return false;
     for (;;) {
-      if (next_ready_ < ready_.size()) {
-        *out = std::move(ready_[next_ready_++]);
-        return true;
+      while (next_ready_ < ready_.size()) {
+        *batch = std::move(ready_[next_ready_++]);
+        if (batch->ActiveRows() > 0) return true;
       }
       if (queue_.empty()) return false;
-      const Status s = ProcessNextPartition();
-      if (!s.ok()) {
-        status_ = s;
-        return false;
-      }
+      status_ = ProcessNextPartition();
+      if (!status_.ok()) return false;
     }
   }
-
-  Status status() const override { return status_; }
 
  private:
   Status ProcessNextPartition() {
@@ -464,17 +471,17 @@ class SpilledAggIterator : public storage::RowIterator {
     charge_.ReleaseAll();  // the previous partition's rows are consumed
     GroupTable groups(group_exprs_->size(), *aggs_);
     HTG_RETURN_IF_ERROR(queue_.ReaggregateNext(&groups, &charge_));
-    HTG_ASSIGN_OR_RETURN(ready_, groups.TakeRows(false));
+    HTG_ASSIGN_OR_RETURN(ready_, groups.TakeBatches(false, batch_rows_));
     return Status::OK();
   }
 
-  std::vector<Row> ready_;
+  std::vector<RowBatch> ready_;
   size_t next_ready_ = 0;
   MemoryCharge charge_;
   AggSpillQueue queue_;
   const std::vector<ExprPtr>* group_exprs_;
   const std::vector<AggSpec>* aggs_;
-  Status status_;
+  size_t batch_rows_;
 };
 
 // Wraps an aggregate with DISTINCT semantics: argument tuples are
@@ -581,18 +588,19 @@ Result<std::unique_ptr<storage::RowIterator>> HashAggregateOp::OpenImpl(
   RecordPeakMem(stats, charge.peak());
   // A spilled global aggregate gets its one row from the spill pass.
   HTG_ASSIGN_OR_RETURN(
-      std::vector<Row> rows,
-      groups.TakeRows(group_exprs_.empty() && !spill->engaged()));
+      std::vector<RowBatch> batches,
+      groups.TakeBatches(group_exprs_.empty() && !spill->engaged(),
+                         ctx->batch_rows));
   if (!spill->engaged()) {
-    return {std::make_unique<ChargedRowsIterator>(std::move(rows),
-                                                  std::move(charge))};
+    return {std::make_unique<ChargedBatchesIterator>(std::move(batches),
+                                                     std::move(charge))};
   }
   AggSpillQueue queue(&group_exprs_, &aggs_, ctx, stats,
                       "Hash Match (Aggregate)");
   HTG_RETURN_IF_ERROR(queue.Add(std::move(spill)));
   return {std::make_unique<SpilledAggIterator>(
-      std::move(rows), std::move(charge), std::move(queue), &group_exprs_,
-      &aggs_)};
+      std::move(batches), std::move(charge), std::move(queue), &group_exprs_,
+      &aggs_, ctx->batch_rows)};
 }
 
 std::string HashAggregateOp::Describe() const {
@@ -611,22 +619,27 @@ StreamAggregateOp::StreamAggregateOp(OperatorPtr child,
 namespace {
 
 // Emits one row per run of equal group keys in the (ordered) input.
-class StreamAggIterator : public storage::RowIterator {
+class StreamAggIterator : public storage::RowSource {
  public:
   StreamAggIterator(std::unique_ptr<storage::RowIterator> child,
                     const std::vector<ExprPtr>* group_exprs,
-                    const std::vector<AggSpec>* aggs, udf::EvalContext* eval)
+                    const std::vector<AggSpec>* aggs, udf::EvalContext* eval,
+                    size_t batch_rows)
       : child_(std::move(child)),
+        input_(child_.get(), batch_rows),
         group_exprs_(group_exprs),
         aggs_(aggs),
         eval_(eval) {}
 
-  bool Next(Row* out) override {
+  Status status() const override { return status_; }
+
+ protected:
+  bool NextRow(Row* out) override {
     if (done_) return false;
     Row input;
     for (;;) {
-      if (!child_->Next(&input)) {
-        status_ = child_->status();
+      if (!input_.Next(&input)) {
+        status_ = input_.status();
         done_ = true;
         if (!status_.ok() || !has_group_) return false;
         return EmitCurrent(out);
@@ -657,8 +670,6 @@ class StreamAggIterator : public storage::RowIterator {
       if (!Accumulate(input)) return false;
     }
   }
-
-  Status status() const override { return status_; }
 
  private:
   void StartGroup(Row key) {
@@ -709,6 +720,7 @@ class StreamAggIterator : public storage::RowIterator {
   }
 
   std::unique_ptr<storage::RowIterator> child_;
+  RowReader input_;
   const std::vector<ExprPtr>* group_exprs_;
   const std::vector<AggSpec>* aggs_;
   udf::EvalContext* eval_;
@@ -728,7 +740,8 @@ Result<std::unique_ptr<storage::RowIterator>> StreamAggregateOp::OpenImpl(
   HTG_ASSIGN_OR_RETURN(std::unique_ptr<storage::RowIterator> child,
                        child_->Open(ctx));
   return {std::make_unique<StreamAggIterator>(std::move(child), &group_exprs_,
-                                              &aggs_, &ctx->eval)};
+                                              &aggs_, &ctx->eval,
+                                              ctx->batch_rows)};
 }
 
 std::string StreamAggregateOp::Describe() const {
@@ -849,9 +862,10 @@ Result<std::unique_ptr<storage::RowIterator>> ParallelAggregateOp::OpenImpl(
     }
     charge.AddUnchecked(merged.bytes());
     RecordPeakMem(stats, charge.peak());
-    HTG_ASSIGN_OR_RETURN(std::vector<Row> rows, merged.TakeRows(false));
-    return {std::make_unique<ChargedRowsIterator>(std::move(rows),
-                                                  std::move(charge))};
+    HTG_ASSIGN_OR_RETURN(std::vector<RowBatch> batches,
+                         merged.TakeBatches(false, ctx->batch_rows));
+    return {std::make_unique<ChargedBatchesIterator>(std::move(batches),
+                                                     std::move(charge))};
   }
 
   // Final phase: a parallel partitioned merge instead of a serial fold.
@@ -861,7 +875,7 @@ Result<std::unique_ptr<storage::RowIterator>> ParallelAggregateOp::OpenImpl(
   // aggregate's one key hashes to 0, so partition 0 owns it and yields its
   // row even over an empty input.
   const size_t nparts = static_cast<size_t>(dop);
-  std::vector<std::vector<Row>> out_parts(nparts);
+  std::vector<std::vector<RowBatch>> out_parts(nparts);
   HTG_RETURN_IF_ERROR(ParallelDrainMorsels(
       ctx->pool, dop, nparts, [&](int, size_t part) -> Status {
         GroupTable merged(group_exprs_.size(), aggs_);
@@ -870,18 +884,19 @@ Result<std::unique_ptr<storage::RowIterator>> ParallelAggregateOp::OpenImpl(
         }
         HTG_ASSIGN_OR_RETURN(
             out_parts[part],
-            merged.TakeRows(part == 0 && group_exprs_.empty()));
+            merged.TakeBatches(part == 0 && group_exprs_.empty(),
+                               ctx->batch_rows));
         return Status::OK();
       }));
 
-  std::vector<Row> rows;
-  for (std::vector<Row>& part : out_parts) {
-    for (Row& r : part) rows.push_back(std::move(r));
+  std::vector<RowBatch> batches;
+  for (std::vector<RowBatch>& part : out_parts) {
+    for (RowBatch& b : part) batches.push_back(std::move(b));
     part.clear();
   }
   RecordPeakMem(stats, charge.peak());
-  return {std::make_unique<ChargedRowsIterator>(std::move(rows),
-                                                std::move(charge))};
+  return {std::make_unique<ChargedBatchesIterator>(std::move(batches),
+                                                   std::move(charge))};
 }
 
 std::string ParallelAggregateOp::Describe() const {

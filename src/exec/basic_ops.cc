@@ -1,7 +1,5 @@
 #include "exec/basic_ops.h"
 
-#include <unordered_set>
-
 #include "common/string_util.h"
 #include "exec/batch.h"
 #include "exec/spill_util.h"
@@ -12,145 +10,13 @@ namespace htg::exec {
 
 namespace {
 
-class FilterIterator : public storage::RowIterator {
- public:
-  FilterIterator(std::unique_ptr<storage::RowIterator> child,
-                 const Expr* predicate, udf::EvalContext* eval)
-      : child_(std::move(child)), predicate_(predicate), eval_(eval) {}
-
-  bool Next(Row* row) override {
-    while (child_->Next(row)) {
-      Result<bool> keep = EvalPredicate(*predicate_, eval_, *row);
-      if (!keep.ok()) {
-        status_ = keep.status();
-        return false;
-      }
-      if (*keep) return true;
-    }
-    status_ = child_->status();
-    return false;
-  }
-
-  Status status() const override { return status_; }
-
- private:
-  std::unique_ptr<storage::RowIterator> child_;
-  const Expr* predicate_;
-  udf::EvalContext* eval_;
-  Status status_;
-};
-
-class ProjectIterator : public storage::RowIterator {
- public:
-  ProjectIterator(std::unique_ptr<storage::RowIterator> child,
-                  const std::vector<ExprPtr>* exprs, udf::EvalContext* eval)
-      : child_(std::move(child)), exprs_(exprs), eval_(eval) {}
-
-  bool Next(Row* row) override {
-    Row input;
-    if (!child_->Next(&input)) {
-      status_ = child_->status();
-      return false;
-    }
-    row->clear();
-    row->reserve(exprs_->size());
-    for (const ExprPtr& e : *exprs_) {
-      Result<Value> v = e->Eval(eval_, input);
-      if (!v.ok()) {
-        status_ = v.status();
-        return false;
-      }
-      row->push_back(std::move(*v));
-    }
-    return true;
-  }
-
-  Status status() const override { return status_; }
-
- private:
-  std::unique_ptr<storage::RowIterator> child_;
-  const std::vector<ExprPtr>* exprs_;
-  udf::EvalContext* eval_;
-  Status status_;
-};
-
-// Rough accounting overhead of one std::unordered_set<std::string> node
-// beyond the string payload itself.
-constexpr size_t kDistinctEntryOverheadBytes = 64;
-
-class DistinctIterator : public storage::RowIterator {
- public:
-  DistinctIterator(std::unique_ptr<storage::RowIterator> child,
-                   MemoryContext* mem, OperatorStats* stats)
-      : child_(std::move(child)), charge_(mem, "Distinct"), stats_(stats) {}
-
-  ~DistinctIterator() override {
-    if (stats_ != nullptr) RecordPeakMem(stats_, charge_.peak());
-  }
-
-  bool Next(Row* row) override {
-    if (!status_.ok()) return false;
-    while (child_->Next(row)) {
-      std::string key;
-      for (const Value& v : *row) {
-        if (v.is_null()) {
-          key += "\x01N";
-        } else {
-          key += '\x02';
-          key += v.ToString();
-        }
-      }
-      // The dedup set grows without bound with the key cardinality;
-      // charge each retained key so a runaway DISTINCT fails cleanly
-      // instead of exhausting the process.
-      const size_t bytes = key.size() + kDistinctEntryOverheadBytes;
-      if (!seen_.insert(std::move(key)).second) continue;
-      status_ = charge_.Add(bytes);
-      if (!status_.ok()) return false;
-      return true;
-    }
-    status_ = child_->status();
-    return false;
-  }
-
-  Status status() const override { return status_; }
-
- private:
-  std::unique_ptr<storage::RowIterator> child_;
-  MemoryCharge charge_;
-  OperatorStats* stats_;
-  std::unordered_set<std::string> seen_;
-  Status status_;
-};
-
-class TopIterator : public storage::RowIterator {
- public:
-  TopIterator(std::unique_ptr<storage::RowIterator> child, int64_t limit)
-      : child_(std::move(child)), remaining_(limit) {}
-
-  bool Next(Row* row) override {
-    if (remaining_ <= 0) return false;
-    if (!child_->Next(row)) return false;
-    --remaining_;
-    return true;
-  }
-
-  Status status() const override { return child_->status(); }
-
- private:
-  std::unique_ptr<storage::RowIterator> child_;
-  int64_t remaining_;
-};
-
 // Vectorized Filter: pulls child batches and narrows each one's selection
 // vector in place (no row copying) until at least one row survives.
 class FilterBatchIterator : public BatchIterator {
  public:
   FilterBatchIterator(std::unique_ptr<storage::RowIterator> child,
-                      const Expr* predicate, udf::EvalContext* eval,
-                      size_t batch_rows)
-      : BatchIterator(batch_rows),
-        child_(std::move(child)),
+                      const Expr* predicate, udf::EvalContext* eval)
+      : child_(std::move(child)),
         predicate_(predicate),
         eval_(eval) {}
 
@@ -185,8 +51,7 @@ class ProjectBatchIterator : public BatchIterator {
   ProjectBatchIterator(std::unique_ptr<storage::RowIterator> child,
                        const std::vector<ExprPtr>* exprs,
                        udf::EvalContext* eval, size_t batch_rows)
-      : BatchIterator(batch_rows),
-        child_(std::move(child)),
+      : child_(std::move(child)),
         exprs_(exprs),
         eval_(eval),
         input_(batch_rows) {}
@@ -224,8 +89,7 @@ class TopBatchIterator : public BatchIterator {
  public:
   TopBatchIterator(std::unique_ptr<storage::RowIterator> child, int64_t limit,
                    size_t batch_rows, MemoryContext* mem)
-      : BatchIterator(batch_rows), child_(std::move(child)),
-        remaining_(limit), charge_(mem, "Top") {
+      : child_(std::move(child)), remaining_(limit), charge_(mem, "Top") {
     // The pass-through batch is bounded scratch (one batch of values);
     // account it for an honest peak without gating the statement on it.
     charge_.AddUnchecked(batch_rows * sizeof(Value));
@@ -349,8 +213,7 @@ std::string TableScanOp::Describe() const {
 Result<std::unique_ptr<storage::RowIterator>> ValuesOp::OpenImpl(
     ExecContext* ctx) {
   MemoryCharge charge(ctx->mem.get(), "Constant Scan");
-  std::vector<Row> rows;
-  rows.reserve(rows_.size());
+  std::vector<RowBatch> batches;
   for (const auto& exprs : rows_) {
     Row row;
     row.reserve(exprs.size());
@@ -359,11 +222,14 @@ Result<std::unique_ptr<storage::RowIterator>> ValuesOp::OpenImpl(
       row.push_back(std::move(v));
     }
     HTG_RETURN_IF_ERROR(charge.Add(ApproxRowBytes(row)));
-    rows.push_back(std::move(row));
+    if (batches.empty() || batches.back().full()) {
+      batches.emplace_back(ctx->batch_rows);
+    }
+    batches.back().AppendRow(std::move(row));
   }
   RecordPeakMem(mutable_stats(), charge.peak());
-  return {std::make_unique<ChargedRowsIterator>(std::move(rows),
-                                                std::move(charge))};
+  return {std::make_unique<ChargedBatchesIterator>(std::move(batches),
+                                                   std::move(charge))};
 }
 
 std::string ValuesOp::Describe() const {
@@ -389,15 +255,15 @@ Result<std::unique_ptr<storage::RowIterator>> OpenRowsetOp::OpenImpl(
     return Status::NotFound("OPENROWSET(BULK): cannot open " + path_ + ": " +
                             read.status().message());
   }
-  std::string bytes = std::move(*read);
-  std::vector<Row> rows;
-  rows.push_back(Row{Value::Blob(std::move(bytes))});
+  Row row{Value::Blob(std::move(*read))};
   // The whole import is held in memory as one blob row; charge it.
   MemoryCharge charge(ctx->mem.get(), "Bulk Import");
-  HTG_RETURN_IF_ERROR(charge.Add(ApproxRowBytes(rows[0])));
+  HTG_RETURN_IF_ERROR(charge.Add(ApproxRowBytes(row)));
   RecordPeakMem(mutable_stats(), charge.peak());
-  return {std::make_unique<ChargedRowsIterator>(std::move(rows),
-                                                std::move(charge))};
+  std::vector<RowBatch> batches(1);
+  batches[0].AppendRow(std::move(row));
+  return {std::make_unique<ChargedBatchesIterator>(std::move(batches),
+                                                   std::move(charge))};
 }
 
 std::string OpenRowsetOp::Describe() const {
@@ -408,12 +274,8 @@ Result<std::unique_ptr<storage::RowIterator>> FilterOp::OpenImpl(
     ExecContext* ctx) {
   HTG_ASSIGN_OR_RETURN(std::unique_ptr<storage::RowIterator> child,
                        child_->Open(ctx));
-  if (ctx->UseBatches() && child->BatchNative()) {
-    return {std::make_unique<FilterBatchIterator>(
-        std::move(child), predicate_.get(), &ctx->eval, ctx->batch_rows)};
-  }
-  return {std::make_unique<FilterIterator>(std::move(child), predicate_.get(),
-                                           &ctx->eval)};
+  return {std::make_unique<FilterBatchIterator>(std::move(child),
+                                                predicate_.get(), &ctx->eval)};
 }
 
 std::string FilterOp::Describe() const {
@@ -435,13 +297,8 @@ Result<std::unique_ptr<storage::RowIterator>> ProjectOp::OpenImpl(
     ExecContext* ctx) {
   HTG_ASSIGN_OR_RETURN(std::unique_ptr<storage::RowIterator> child,
                        child_->Open(ctx));
-  if (ctx->UseBatches() && child->BatchNative()) {
-    return {std::make_unique<ProjectBatchIterator>(std::move(child), &exprs_,
-                                                   &ctx->eval,
-                                                   ctx->batch_rows)};
-  }
-  return {std::make_unique<ProjectIterator>(std::move(child), &exprs_,
-                                            &ctx->eval)};
+  return {std::make_unique<ProjectBatchIterator>(std::move(child), &exprs_,
+                                                 &ctx->eval, ctx->batch_rows)};
 }
 
 std::string ProjectOp::Describe() const {
@@ -454,23 +311,11 @@ std::string ProjectOp::Describe() const {
   return out;
 }
 
-Result<std::unique_ptr<storage::RowIterator>> DistinctOp::OpenImpl(
-    ExecContext* ctx) {
-  HTG_ASSIGN_OR_RETURN(std::unique_ptr<storage::RowIterator> child,
-                       child_->Open(ctx));
-  return {std::make_unique<DistinctIterator>(std::move(child), ctx->mem.get(),
-                                             mutable_stats())};
-}
-
 Result<std::unique_ptr<storage::RowIterator>> TopOp::OpenImpl(ExecContext* ctx) {
   HTG_ASSIGN_OR_RETURN(std::unique_ptr<storage::RowIterator> child,
                        child_->Open(ctx));
-  if (ctx->UseBatches() && child->BatchNative()) {
-    return {std::make_unique<TopBatchIterator>(std::move(child), limit_,
-                                               ctx->batch_rows,
-                                               ctx->mem.get())};
-  }
-  return {std::make_unique<TopIterator>(std::move(child), limit_)};
+  return {std::make_unique<TopBatchIterator>(std::move(child), limit_,
+                                             ctx->batch_rows, ctx->mem.get())};
 }
 
 std::string TopOp::Describe() const {

@@ -117,25 +117,6 @@ class ProjectOp : public Operator {
   Schema schema_;
 };
 
-// SELECT DISTINCT: drops duplicate rows via a hash set (blocking on first
-// fetch of each distinct row; streaming otherwise).
-class DistinctOp : public Operator {
- public:
-  explicit DistinctOp(OperatorPtr child) : child_(std::move(child)) {}
-
-  const Schema& output_schema() const override {
-    return child_->output_schema();
-  }
-  Result<std::unique_ptr<storage::RowIterator>> OpenImpl(ExecContext* ctx) override;
-  std::string Describe() const override { return "Distinct Sort (Distinct)"; }
-  std::vector<const Operator*> children() const override {
-    return {child_.get()};
-  }
-
- private:
-  OperatorPtr child_;
-};
-
 // SELECT TOP n.
 class TopOp : public Operator {
  public:

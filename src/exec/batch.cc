@@ -4,39 +4,30 @@
 
 namespace htg::exec {
 
-bool BatchIterator::Next(Row* row) {
-  // The row seam: refill the internal buffer from the batch path and hand
-  // rows out one at a time. exec.batch.fillrow_rows measures how much
-  // output crosses back into row-at-a-time form (the §5.2 boundary).
-  while (buffer_pos_ >= buffer_.ActiveRows()) {
-    if (!ProduceBatch(&buffer_)) return false;
-    buffer_pos_ = 0;
-  }
-  buffer_.FillRow(buffer_pos_++, row);
-  HTG_METRIC_COUNTER("exec.batch.fillrow_rows")->Add(1);
+bool BatchIterator::NextBatch(RowBatch* batch) {
+  if (!ProduceBatch(batch)) return false;
+  HTG_METRIC_COUNTER("exec.batch.batches")->Add(1);
+  HTG_METRIC_COUNTER("exec.batch.rows")->Add(batch->ActiveRows());
   return true;
 }
 
-bool BatchIterator::NextBatch(RowBatch* batch) {
-  // Hand out any rows the Next() shim buffered first, so mixing the two
-  // pull styles on one iterator never drops or duplicates rows.
-  if (buffer_pos_ < buffer_.ActiveRows()) {
-    *batch = std::move(buffer_);
-    if (buffer_pos_ > 0) {
-      std::vector<uint32_t> rest;
-      rest.reserve(batch->ActiveRows() - buffer_pos_);
-      for (size_t i = buffer_pos_; i < batch->ActiveRows(); ++i) {
-        rest.push_back(static_cast<uint32_t>(batch->ActiveIndex(i)));
-      }
-      batch->SetSelection(std::move(rest));
+bool RowReader::Next(Row* row) {
+  while (pos_ >= batch_.ActiveRows()) {
+    if (!iter_->NextBatch(&batch_)) {
+      batch_.Clear();
+      pos_ = 0;
+      return false;
     }
-    buffer_ = RowBatch(batch_rows_);
-    buffer_pos_ = 0;
-  } else if (!ProduceBatch(batch)) {
-    return false;
+    pos_ = 0;
+    HTG_METRIC_COUNTER("exec.batch.fillrow_rows")->Add(batch_.ActiveRows());
   }
-  HTG_METRIC_COUNTER("exec.batch.batches")->Add(1);
-  HTG_METRIC_COUNTER("exec.batch.rows")->Add(batch->ActiveRows());
+  // Selection vectors never repeat a physical row, so moving the values
+  // out of the batch (refilled before it is read again) is safe.
+  const size_t r = batch_.ActiveIndex(pos_++);
+  row->resize(batch_.num_columns());
+  for (size_t c = 0; c < batch_.num_columns(); ++c) {
+    (*row)[c] = std::move(batch_.column(c)[r]);
+  }
   return true;
 }
 

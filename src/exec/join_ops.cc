@@ -1,8 +1,11 @@
 #include "exec/join_ops.h"
 
+#include <algorithm>
 #include <unordered_map>
 
+#include "common/metrics.h"
 #include "common/string_util.h"
+#include "exec/batch.h"
 #include "exec/spill_util.h"
 #include "storage/spill.h"
 
@@ -37,14 +40,23 @@ using BuildMap = std::unordered_map<Row, std::vector<Row>, RowHash, RowEq>;
 // vector slot) on top of the key's and row's own bytes.
 constexpr size_t kJoinEntryOverheadBytes = 96;
 
+// Evaluates the join keys of `row` into `out`, reusing its capacity (the
+// grace join's probe loop keeps one key row for the whole stream).
+Status EvalKeysInto(const std::vector<ExprPtr>& keys, udf::EvalContext* eval,
+                    const Row& row, Row* out) {
+  out->clear();
+  for (const ExprPtr& k : keys) {
+    HTG_ASSIGN_OR_RETURN(Value v, k->Eval(eval, row));
+    out->push_back(std::move(v));
+  }
+  return Status::OK();
+}
+
 Result<Row> EvalKeys(const std::vector<ExprPtr>& keys, udf::EvalContext* eval,
                      const Row& row) {
   Row out;
   out.reserve(keys.size());
-  for (const ExprPtr& k : keys) {
-    HTG_ASSIGN_OR_RETURN(Value v, k->Eval(eval, row));
-    out.push_back(std::move(v));
-  }
+  HTG_RETURN_IF_ERROR(EvalKeysInto(keys, eval, row, &out));
   return out;
 }
 
@@ -67,57 +79,87 @@ std::string DescribeJoinKeys(const std::vector<ExprPtr>& l,
   return out;
 }
 
-class HashJoinIterator : public storage::RowIterator {
+// Probes the build table a batch of left rows at a time: the batch kernels
+// evaluate the left keys over the whole batch, and a joined row copies
+// the left values straight out of the batch columns.
+class HashJoinIterator : public storage::RowSource {
  public:
   HashJoinIterator(std::unique_ptr<storage::RowIterator> left, BuildMap build,
                    const std::vector<ExprPtr>* left_keys,
                    udf::EvalContext* eval, bool left_outer, int right_width,
-                   MemoryCharge charge)
+                   MemoryCharge charge, size_t batch_rows)
       : left_(std::move(left)),
         build_(std::move(build)),
         left_keys_(left_keys),
         eval_(eval),
         left_outer_(left_outer),
         right_width_(right_width),
-        charge_(std::move(charge)) {}
-
-  bool Next(Row* row) override {
-    for (;;) {
-      if (matches_ != nullptr && match_index_ < matches_->size()) {
-        *row = ConcatRows(left_row_, (*matches_)[match_index_++]);
-        return true;
-      }
-      if (!left_->Next(&left_row_)) {
-        status_ = left_->status();
-        return false;
-      }
-      Result<Row> key = EvalKeys(*left_keys_, eval_, left_row_);
-      if (!key.ok()) {
-        status_ = key.status();
-        return false;
-      }
-      // SQL equi-join: NULL keys never match.
-      bool has_null = false;
-      for (const Value& v : *key) has_null = has_null || v.is_null();
-      auto it = has_null ? build_.end() : build_.find(*key);
-      if (it == build_.end()) {
-        if (left_outer_) {
-          // Unmatched left row: pad the right side with NULLs.
-          *row = ConcatRows(left_row_, Row(right_width_, Value::Null()));
-          matches_ = nullptr;
-          return true;
-        }
-        matches_ = nullptr;
-        continue;
-      }
-      matches_ = &it->second;
-      match_index_ = 0;
-    }
-  }
+        charge_(std::move(charge)),
+        batch_(std::min(batch_rows, RowReader::kMaxRows)),
+        key_cols_(left_keys->size()),
+        key_(left_keys->size()) {}
 
   Status status() const override { return status_; }
 
+ protected:
+  bool NextRow(Row* row) override {
+    for (;;) {
+      if (matches_ != nullptr && match_index_ < matches_->size()) {
+        Emit(&(*matches_)[match_index_++], row);
+        return true;
+      }
+      matches_ = nullptr;
+      if (pos_ >= batch_.ActiveRows() && !NextLeftBatch()) return false;
+      // SQL equi-join: NULL keys never match.
+      bool has_null = false;
+      for (size_t k = 0; k < key_.size(); ++k) {
+        key_[k] = std::move(key_cols_[k][pos_]);
+        has_null = has_null || key_[k].is_null();
+      }
+      left_index_ = batch_.ActiveIndex(pos_++);
+      auto it = has_null ? build_.end() : build_.find(key_);
+      if (it != build_.end()) {
+        matches_ = &it->second;
+        match_index_ = 0;
+      } else if (left_outer_) {
+        // Unmatched left row: pad the right side with NULLs.
+        Emit(nullptr, row);
+        return true;
+      }
+    }
+  }
+
  private:
+  bool NextLeftBatch() {
+    if (!left_->NextBatch(&batch_)) {
+      status_ = left_->status();
+      return false;
+    }
+    pos_ = 0;
+    HTG_METRIC_COUNTER("exec.batch.fillrow_rows")->Add(batch_.ActiveRows());
+    for (size_t k = 0; k < key_cols_.size(); ++k) {
+      status_ = (*left_keys_)[k]->EvalBatch(eval_, batch_,
+                                            batch_.selection_data(),
+                                            batch_.ActiveRows(), &key_cols_[k]);
+      if (!status_.ok()) return false;
+    }
+    return true;
+  }
+
+  // The current left row ++ `right` (NULLs when `right` is null).
+  void Emit(const Row* right, Row* row) const {
+    row->clear();
+    row->reserve(batch_.num_columns() + static_cast<size_t>(right_width_));
+    for (size_t c = 0; c < batch_.num_columns(); ++c) {
+      row->push_back(batch_.column(c)[left_index_]);
+    }
+    if (right != nullptr) {
+      row->insert(row->end(), right->begin(), right->end());
+    } else {
+      row->resize(row->size() + static_cast<size_t>(right_width_));
+    }
+  }
+
   std::unique_ptr<storage::RowIterator> left_;
   BuildMap build_;
   const std::vector<ExprPtr>* left_keys_;
@@ -125,7 +167,11 @@ class HashJoinIterator : public storage::RowIterator {
   bool left_outer_;
   int right_width_;
   MemoryCharge charge_;  // keeps the build table accounted while live
-  Row left_row_;
+  RowBatch batch_;
+  std::vector<std::vector<Value>> key_cols_;
+  size_t pos_ = 0;  // next active row of batch_
+  size_t left_index_ = 0;  // physical row of the current left row
+  Row key_;
   const std::vector<Row>* matches_ = nullptr;
   size_t match_index_ = 0;
   Status status_;
@@ -239,7 +285,7 @@ class JoinSpill {
 // budget re-partition both runs with a deeper hash salt and re-queue.
 // Output order differs from the in-memory join. Owns every spill file,
 // so the data is deleted with the iterator.
-class GraceHashJoinIterator : public storage::RowIterator {
+class GraceHashJoinIterator : public storage::RowSource {
  public:
   GraceHashJoinIterator(std::vector<std::unique_ptr<storage::SpillFile>> files,
                         std::vector<JoinSpillWork> work,
@@ -265,7 +311,10 @@ class GraceHashJoinIterator : public storage::RowIterator {
     }
   }
 
-  bool Next(Row* out) override {
+  Status status() const override { return status_; }
+
+ protected:
+  bool NextRow(Row* out) override {
     if (!status_.ok()) return false;
     for (;;) {
       if (matches_ != nullptr && match_index_ < matches_->size()) {
@@ -274,13 +323,10 @@ class GraceHashJoinIterator : public storage::RowIterator {
       }
       matches_ = nullptr;
       if (probe_ != nullptr) {
-        if (probe_->Next(&probe_row_)) {
-          Result<Row> key = EvalKeys(*left_keys_, &ctx_->eval, probe_row_);
-          if (!key.ok()) {
-            status_ = key.status();
-            return false;
-          }
-          auto it = build_.find(*key);
+        if (probe_->NextRow(&probe_row_)) {
+          status_ = EvalKeysInto(*left_keys_, &ctx_->eval, probe_row_, &key_);
+          if (!status_.ok()) return false;
+          auto it = build_.find(key_);
           if (it == build_.end()) {
             if (left_outer_) {
               *out = ConcatRows(probe_row_, Row(right_width_, Value::Null()));
@@ -299,7 +345,7 @@ class GraceHashJoinIterator : public storage::RowIterator {
         charge_.ReleaseAll();
       }
       if (null_reader_ != nullptr) {
-        if (null_reader_->Next(&probe_row_)) {
+        if (null_reader_->NextRow(&probe_row_)) {
           *out = ConcatRows(probe_row_, Row(right_width_, Value::Null()));
           return true;
         }
@@ -316,8 +362,6 @@ class GraceHashJoinIterator : public storage::RowIterator {
     }
   }
 
-  Status status() const override { return status_; }
-
  private:
   Status LoadNextPartition() {
     JoinSpillWork work = std::move(worklist_.back());
@@ -328,7 +372,7 @@ class GraceHashJoinIterator : public storage::RowIterator {
     storage::SpillRunReader build_reader(work.file, std::move(work.build));
     std::unique_ptr<JoinSpill> sub;
     Row row;
-    while (build_reader.Next(&row)) {
+    while (build_reader.NextRow(&row)) {
       HTG_ASSIGN_OR_RETURN(Row key, EvalKeys(*right_keys_, &ctx_->eval, row));
       if (sub != nullptr) {
         HTG_RETURN_IF_ERROR(sub->AddBuild(key, row));
@@ -366,7 +410,7 @@ class GraceHashJoinIterator : public storage::RowIterator {
       return Status::OK();
     }
     storage::SpillRunReader probe_reader(work.file, std::move(work.probe));
-    while (probe_reader.Next(&row)) {
+    while (probe_reader.NextRow(&row)) {
       HTG_ASSIGN_OR_RETURN(Row key, EvalKeys(*left_keys_, &ctx_->eval, row));
       HTG_RETURN_IF_ERROR(sub->AddProbe(key, row));
     }
@@ -392,6 +436,7 @@ class GraceHashJoinIterator : public storage::RowIterator {
   std::unique_ptr<storage::SpillRunReader> probe_;
   std::unique_ptr<storage::SpillRunReader> null_reader_;
   Row probe_row_;
+  Row key_;
   const std::vector<Row>* matches_ = nullptr;
   size_t match_index_ = 0;
   Status status_;
@@ -400,21 +445,27 @@ class GraceHashJoinIterator : public storage::RowIterator {
 // Streaming merge join. Both inputs ascend on their keys; buffers the
 // right-side group matching the current key (charged against the query
 // budget — a pathological key group can be arbitrarily wide).
-class MergeJoinIterator : public storage::RowIterator {
+class MergeJoinIterator : public storage::RowSource {
  public:
   MergeJoinIterator(std::unique_ptr<storage::RowIterator> left,
                     std::unique_ptr<storage::RowIterator> right,
                     const std::vector<ExprPtr>* left_keys,
                     const std::vector<ExprPtr>* right_keys,
-                    udf::EvalContext* eval, MemoryContext* mem)
+                    udf::EvalContext* eval, MemoryContext* mem,
+                    size_t batch_rows)
       : left_(std::move(left)),
         right_(std::move(right)),
+        left_rows_(left_.get(), batch_rows),
+        right_rows_(right_.get(), batch_rows),
         left_keys_(left_keys),
         right_keys_(right_keys),
         eval_(eval),
         charge_(mem, "Merge Join") {}
 
-  bool Next(Row* row) override {
+  Status status() const override { return status_; }
+
+ protected:
+  bool NextRow(Row* row) override {
     if (!status_.ok()) return false;
     for (;;) {
       if (emitting_ && group_index_ < right_group_.size()) {
@@ -447,8 +498,6 @@ class MergeJoinIterator : public storage::RowIterator {
     }
   }
 
-  Status status() const override { return status_; }
-
  private:
   static int CompareKeys(const Row& a, const Row& b) {
     for (size_t i = 0; i < a.size(); ++i) {
@@ -459,8 +508,8 @@ class MergeJoinIterator : public storage::RowIterator {
   }
 
   bool AdvanceLeft() {
-    if (!left_->Next(&left_row_)) {
-      status_ = left_->status();
+    if (!left_rows_.Next(&left_row_)) {
+      status_ = left_rows_.status();
       return false;
     }
     Result<Row> key = EvalKeys(*left_keys_, eval_, left_row_);
@@ -487,8 +536,8 @@ class MergeJoinIterator : public storage::RowIterator {
     right_group_.clear();
     charge_.ReleaseAll();
     if (!pending_valid_) {
-      if (!right_->Next(&pending_row_)) {
-        status_ = right_->status();
+      if (!right_rows_.Next(&pending_row_)) {
+        status_ = right_rows_.status();
         group_valid_ = false;
         return false;
       }
@@ -505,8 +554,8 @@ class MergeJoinIterator : public storage::RowIterator {
     pending_valid_ = false;
     // Pull until the key changes.
     for (;;) {
-      if (!right_->Next(&pending_row_)) {
-        status_ = right_->status();
+      if (!right_rows_.Next(&pending_row_)) {
+        status_ = right_rows_.status();
         break;
       }
       Result<Row> key = EvalKeys(*right_keys_, eval_, pending_row_);
@@ -528,6 +577,8 @@ class MergeJoinIterator : public storage::RowIterator {
 
   std::unique_ptr<storage::RowIterator> left_;
   std::unique_ptr<storage::RowIterator> right_;
+  RowReader left_rows_;
+  RowReader right_rows_;
   const std::vector<ExprPtr>* left_keys_;
   const std::vector<ExprPtr>* right_keys_;
   udf::EvalContext* eval_;
@@ -546,18 +597,23 @@ class MergeJoinIterator : public storage::RowIterator {
   Status status_;
 };
 
-class NestedLoopIterator : public storage::RowIterator {
+class NestedLoopIterator : public storage::RowSource {
  public:
   NestedLoopIterator(std::unique_ptr<storage::RowIterator> left,
                      std::vector<Row> right, const Expr* predicate,
-                     udf::EvalContext* eval, MemoryCharge charge)
+                     udf::EvalContext* eval, MemoryCharge charge,
+                     size_t batch_rows)
       : left_(std::move(left)),
+        left_rows_(left_.get(), batch_rows),
         right_(std::move(right)),
         predicate_(predicate),
         eval_(eval),
         charge_(std::move(charge)) {}
 
-  bool Next(Row* row) override {
+  Status status() const override { return status_; }
+
+ protected:
+  bool NextRow(Row* row) override {
     for (;;) {
       while (right_index_ < right_.size()) {
         Row candidate = ConcatRows(left_row_, right_[right_index_++]);
@@ -575,18 +631,17 @@ class NestedLoopIterator : public storage::RowIterator {
           return true;
         }
       }
-      if (!left_->Next(&left_row_)) {
-        status_ = left_->status();
+      if (!left_rows_.Next(&left_row_)) {
+        status_ = left_rows_.status();
         return false;
       }
       right_index_ = 0;
     }
   }
 
-  Status status() const override { return status_; }
-
  private:
   std::unique_ptr<storage::RowIterator> left_;
+  RowReader left_rows_;
   std::vector<Row> right_;
   const Expr* predicate_;
   udf::EvalContext* eval_;
@@ -634,8 +689,9 @@ Result<std::unique_ptr<storage::RowIterator>> HashJoinOp::OpenImpl(
   MemoryCharge charge(ctx->mem.get(), op_name);
   BuildMap build;
   std::unique_ptr<JoinSpill> spill;  // engaged when the build overflows
+  RowReader build_rows(right.get(), ctx->batch_rows);
   Row row;
-  while (right->Next(&row)) {
+  while (build_rows.Next(&row)) {
     HTG_ASSIGN_OR_RETURN(Row key, EvalKeys(right_keys_, &ctx->eval, row));
     // NULL build keys never match; drop them here.
     bool has_null = false;
@@ -673,7 +729,7 @@ Result<std::unique_ptr<storage::RowIterator>> HashJoinOp::OpenImpl(
     HTG_RETURN_IF_ERROR(spill->AddBuild(key, row));
     row.clear();
   }
-  HTG_RETURN_IF_ERROR(right->status());
+  HTG_RETURN_IF_ERROR(build_rows.status());
   HTG_ASSIGN_OR_RETURN(std::unique_ptr<storage::RowIterator> left,
                        left_->Open(ctx));
   if (spill == nullptr) {
@@ -681,12 +737,13 @@ Result<std::unique_ptr<storage::RowIterator>> HashJoinOp::OpenImpl(
     return {std::make_unique<HashJoinIterator>(
         std::move(left), std::move(build), &left_keys_, &ctx->eval,
         left_outer_, right_->output_schema().num_columns(),
-        std::move(charge))};
+        std::move(charge), ctx->batch_rows)};
   }
   // Route the probe side into the matching partitions. NULL-keyed probe
   // rows match nothing: an inner join drops them, a left-outer join
   // parks them in a dedicated run to pad later.
-  while (left->Next(&row)) {
+  RowReader probe_rows(left.get(), ctx->batch_rows);
+  while (probe_rows.Next(&row)) {
     HTG_ASSIGN_OR_RETURN(Row key, EvalKeys(left_keys_, &ctx->eval, row));
     bool has_null = false;
     for (const Value& v : key) has_null = has_null || v.is_null();
@@ -696,7 +753,7 @@ Result<std::unique_ptr<storage::RowIterator>> HashJoinOp::OpenImpl(
     }
     HTG_RETURN_IF_ERROR(spill->AddProbe(key, row));
   }
-  HTG_RETURN_IF_ERROR(left->status());
+  HTG_RETURN_IF_ERROR(probe_rows.status());
   HTG_ASSIGN_OR_RETURN(std::vector<JoinSpillWork> work, spill->Finish());
   storage::SpillRun null_run = spill->TakeNullRun();
   std::vector<std::unique_ptr<storage::SpillFile>> files;
@@ -731,7 +788,8 @@ Result<std::unique_ptr<storage::RowIterator>> MergeJoinOp::OpenImpl(
                        right_->Open(ctx));
   return {std::make_unique<MergeJoinIterator>(std::move(left), std::move(right),
                                               &left_keys_, &right_keys_,
-                                              &ctx->eval, ctx->mem.get())};
+                                              &ctx->eval, ctx->mem.get(),
+                                              ctx->batch_rows)};
 }
 
 std::string MergeJoinOp::Describe() const {
@@ -764,7 +822,7 @@ Result<std::unique_ptr<storage::RowIterator>> NestedLoopJoinOp::OpenImpl(
                        left_->Open(ctx));
   return {std::make_unique<NestedLoopIterator>(
       std::move(left), std::move(right_rows), predicate_.get(), &ctx->eval,
-      std::move(charge))};
+      std::move(charge), ctx->batch_rows)};
 }
 
 std::string NestedLoopJoinOp::Describe() const {

@@ -23,11 +23,10 @@ struct ExecContext {
   Database* db = nullptr;
   ThreadPool* pool = nullptr;
   int dop = 1;
-  // EXPLAIN ANALYZE: time Open/Next/close and count rows per operator.
+  // EXPLAIN ANALYZE: time Open/NextBatch/close and count rows per operator.
   // Off by default so normal queries pay nothing for the stats machinery.
   bool collect_stats = false;
-  // Rows per RowBatch on the vectorized pull path; 1 forces the legacy
-  // row-at-a-time iterators (parity testing, bisecting regressions).
+  // Rows per RowBatch pulled between operators.
   size_t batch_rows = RowBatch::kDefaultRows;
   // Query-scoped memory budget shared by every operator (and every
   // morsel-worker copy of this context). Default: unlimited.
@@ -47,8 +46,6 @@ struct ExecContext {
   // uncommitted writes. kFrozenTxn outside any transaction.
   storage::TxnId txn_id = storage::kFrozenTxn;
   udf::EvalContext eval;
-
-  bool UseBatches() const { return batch_rows > 1; }
 
   // True when an over-budget operator may degrade to disk instead of
   // failing the statement.
@@ -83,7 +80,7 @@ struct OperatorStats {
   std::atomic<uint64_t> rows_out{0};
   std::atomic<uint64_t> batches_out{0};  // NextBatch calls that produced rows
   std::atomic<uint64_t> open_ns{0};
-  std::atomic<uint64_t> next_ns{0};   // cumulative time inside Next
+  std::atomic<uint64_t> next_ns{0};   // cumulative time inside NextBatch
   std::atomic<uint64_t> close_ns{0};  // iterator teardown
   // Memory governance: high-water of bytes this operator had charged
   // against the query's MemoryContext, and its spill activity. Written
@@ -118,7 +115,7 @@ class Operator {
 
   // Non-virtual entry point: forwards to OpenImpl, and when the context
   // collects stats, times the call and wraps the returned iterator so
-  // rows and Next() time accumulate into stats(). The fast path is a
+  // rows and NextBatch() time accumulate into stats(). The fast path is a
   // single branch.
   Result<std::unique_ptr<storage::RowIterator>> Open(ExecContext* ctx);
 
@@ -165,8 +162,8 @@ std::string ExplainPlan(const Operator& root);
 std::string ExplainAnalyzePlan(const Operator& root);
 
 // Drains `iter`, appending every row to `rows`. Pulls batches and moves
-// rows out of them, so batch-native pipelines stay vectorized up to the
-// final materialization.
+// rows out of them, so pipelines stay vectorized up to the final
+// materialization.
 Status DrainIterator(storage::RowIterator* iter, std::vector<Row>* rows);
 
 // Wraps an iterator so rows passed through are counted into *counter

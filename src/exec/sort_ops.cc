@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <utility>
 
 #include "common/string_util.h"
 #include "exec/batch.h"
@@ -32,7 +33,7 @@ constexpr size_t kParallelSortMinRows = 4096;
 // row); the comparator orders by the key prefix with per-key direction,
 // breaking ties by run index — runs are written in arrival order and
 // sorted stably, so the merged order equals the in-memory stable sort.
-class SortRunMergeIterator : public storage::RowIterator {
+class SortRunMergeIterator : public storage::RowSource {
  public:
   SortRunMergeIterator(std::unique_ptr<storage::SpillFile> file,
                        std::vector<storage::SpillRun> runs, size_t nkeys,
@@ -52,7 +53,10 @@ class SortRunMergeIterator : public storage::RowIterator {
     for (size_t i = 0; i < readers_.size(); ++i) Advance(i);
   }
 
-  bool Next(Row* row) override {
+  Status status() const override { return status_; }
+
+ protected:
+  bool NextRow(Row* row) override {
     if (!status_.ok()) return false;
     size_t best = readers_.size();
     for (size_t i = 0; i < readers_.size(); ++i) {
@@ -70,8 +74,6 @@ class SortRunMergeIterator : public storage::RowIterator {
     return status_.ok();
   }
 
-  Status status() const override { return status_; }
-
  private:
   bool KeyLess(const Row& a, const Row& b) const {
     for (size_t k = 0; k < nkeys_; ++k) {
@@ -82,7 +84,7 @@ class SortRunMergeIterator : public storage::RowIterator {
   }
 
   void Advance(size_t i) {
-    alive_[i] = readers_[i]->Next(&heads_[i]);
+    alive_[i] = readers_[i]->NextRow(&heads_[i]);
     if (!alive_[i] && !readers_[i]->status().ok()) {
       status_ = readers_[i]->status();
     }
@@ -97,18 +99,20 @@ class SortRunMergeIterator : public storage::RowIterator {
   Status status_;
 };
 
-// Sorts `order` (indices into rows/sort_keys) by the key columns,
-// breaking ties by original index so the result matches a stable sort.
-void SortOrder(std::vector<size_t>* order, const std::vector<Row>& sort_keys,
-               const std::vector<SortKey>& keys) {
-  std::sort(order->begin(), order->end(), [&](size_t a, size_t b) {
-    for (size_t k = 0; k < keys.size(); ++k) {
-      const int cmp = sort_keys[a][k].Compare(sort_keys[b][k]);
-      if (cmp != 0) return keys[k].descending ? cmp > 0 : cmp < 0;
+// Orders buffered row indexes by the key columns, breaking ties by index
+// (arrival order) so every sort matches a stable sort.
+struct KeyLess {
+  const std::vector<std::vector<Value>>* key_cols;
+  const std::vector<SortKey>* keys;
+
+  bool operator()(size_t a, size_t b) const {
+    for (size_t k = 0; k < keys->size(); ++k) {
+      const int cmp = (*key_cols)[k][a].Compare((*key_cols)[k][b]);
+      if (cmp != 0) return (*keys)[k].descending ? cmp > 0 : cmp < 0;
     }
     return a < b;
-  });
-}
+  }
+};
 
 }  // namespace
 
@@ -118,8 +122,13 @@ Result<std::unique_ptr<storage::RowIterator>> OpenSorted(
   HTG_ASSIGN_OR_RETURN(std::unique_ptr<storage::RowIterator> iter,
                        child->Open(ctx));
   MemoryCharge charge(ctx->mem.get(), "Sort");
-  std::vector<Row> rows;
-  std::vector<Row> sort_keys;
+  // The buffered input stays in its batches; row i of the sort lives at
+  // batches[at[i].first] physical row at[i].second, and its key values
+  // at key_cols[k][i].
+  std::vector<RowBatch> batches;
+  std::vector<std::pair<uint32_t, uint32_t>> at;
+  std::vector<std::vector<Value>> key_cols(keys.size());
+  const KeyLess less{&key_cols, &keys};
   std::unique_ptr<storage::SpillFile> spill;
   std::vector<storage::SpillRun> runs;
 
@@ -131,16 +140,20 @@ Result<std::unique_ptr<storage::RowIterator>> OpenSorted(
                            storage::SpillFile::Create(ctx->tablespace,
                                                       "sort"));
     }
-    std::vector<size_t> order(rows.size());
+    std::vector<size_t> order(at.size());
     for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    SortOrder(&order, sort_keys, keys);
+    std::sort(order.begin(), order.end(), less);
     storage::SpillRunWriter writer(spill.get());
     Row record;
     for (size_t i : order) {
+      RowBatch& batch = batches[at[i].first];
       record.clear();
-      record.reserve(sort_keys[i].size() + rows[i].size());
-      for (Value& v : sort_keys[i]) record.push_back(std::move(v));
-      for (Value& v : rows[i]) record.push_back(std::move(v));
+      for (std::vector<Value>& col : key_cols) {
+        record.push_back(std::move(col[i]));
+      }
+      for (size_t c = 0; c < batch.num_columns(); ++c) {
+        record.push_back(std::move(batch.column(c)[at[i].second]));
+      }
       HTG_RETURN_IF_ERROR(writer.Add(record));
     }
     HTG_ASSIGN_OR_RETURN(storage::SpillRun run, writer.Finish());
@@ -150,77 +163,51 @@ Result<std::unique_ptr<storage::RowIterator>> OpenSorted(
       stats->spill_bytes.fetch_add(run.bytes, std::memory_order_relaxed);
     }
     runs.push_back(std::move(run));
-    rows.clear();
-    sort_keys.clear();
+    batches.clear();
+    at.clear();
+    for (std::vector<Value>& col : key_cols) col.clear();
     charge.ReleaseAll();
     return Status::OK();
   };
 
-  // Buffers one row + its precomputed sort key, charging the budget and
-  // degrading to an external run when the charge is rejected.
-  const auto append_row = [&](Row row, Row key) -> Status {
-    const size_t bytes = ApproxRowBytes(row) + ApproxRowBytes(key);
-    rows.push_back(std::move(row));
-    sort_keys.push_back(std::move(key));
-    Status charged = charge.Add(bytes);
-    if (charged.ok()) return Status::OK();
+  // Buffers each input batch, made dense, with its key columns (extracted
+  // by the batch kernels), charging the budget per batch and degrading to
+  // an external run when the charge is refused.
+  RowBatch batch(ctx->batch_rows);
+  std::vector<Value> key_col;
+  while (iter->NextBatch(&batch)) {
+    batch.Compact();
+    const size_t n = batch.num_rows();
+    // Per row: its position entry and its sort-order index.
+    size_t bytes = n * (sizeof(at[0]) + sizeof(size_t));
+    for (size_t k = 0; k < keys.size(); ++k) {
+      HTG_RETURN_IF_ERROR(
+          keys[k].expr->EvalBatch(&ctx->eval, batch, nullptr, n, &key_col));
+      for (Value& v : key_col) {
+        bytes += v.ApproxBytes();
+        key_cols[k].push_back(std::move(v));
+      }
+    }
+    for (size_t c = 0; c < batch.num_columns(); ++c) {
+      for (const Value& v : batch.column(c)) bytes += v.ApproxBytes();
+    }
+    for (size_t r = 0; r < n; ++r) {
+      at.emplace_back(static_cast<uint32_t>(batches.size()),
+                      static_cast<uint32_t>(r));
+    }
+    batches.push_back(std::exchange(batch, RowBatch(ctx->batch_rows)));
+    const Status charged = charge.Add(bytes);
+    if (charged.ok()) continue;
     if (!charged.IsResourceExhausted()) return charged;
     if (!ctx->CanSpill()) return SpillUnavailableError("Sort", *ctx->mem);
-    return flush_run();
-  };
-
-  if (ctx->UseBatches() && iter->BatchNative()) {
-    // Batch path: extract sort keys with vectorized kernels while the
-    // input drains, materializing rows by moving values out of each
-    // batch.
-    RowBatch batch(ctx->batch_rows);
-    std::vector<std::vector<Value>> key_cols(keys.size());
-    while (iter->NextBatch(&batch)) {
-      const size_t n = batch.ActiveRows();
-      const uint32_t* sel = batch.selection_data();
-      for (size_t k = 0; k < keys.size(); ++k) {
-        HTG_RETURN_IF_ERROR(
-            keys[k].expr->EvalBatch(&ctx->eval, batch, sel, n, &key_cols[k]));
-      }
-      rows.reserve(rows.size() + n);
-      sort_keys.reserve(sort_keys.size() + n);
-      for (size_t j = 0; j < n; ++j) {
-        Row key;
-        key.reserve(keys.size());
-        for (size_t k = 0; k < keys.size(); ++k) {
-          key.push_back(std::move(key_cols[k][j]));
-        }
-        const size_t r = batch.ActiveIndex(j);
-        Row row;
-        row.reserve(batch.num_columns());
-        for (size_t c = 0; c < batch.num_columns(); ++c) {
-          row.push_back(std::move(batch.column(c)[r]));
-        }
-        HTG_RETURN_IF_ERROR(append_row(std::move(row), std::move(key)));
-      }
-    }
-    HTG_RETURN_IF_ERROR(iter->status());
-  } else {
-    // Row path: evaluate the keys per row while draining (exprs may be
-    // arbitrarily costly, but spilling needs the key alongside the row).
-    Row row;
-    while (iter->Next(&row)) {
-      Row key;
-      key.reserve(keys.size());
-      for (const SortKey& k : keys) {
-        HTG_ASSIGN_OR_RETURN(Value v, k.expr->Eval(&ctx->eval, row));
-        key.push_back(std::move(v));
-      }
-      HTG_RETURN_IF_ERROR(append_row(std::move(row), std::move(key)));
-      row = Row();
-    }
-    HTG_RETURN_IF_ERROR(iter->status());
+    HTG_RETURN_IF_ERROR(flush_run());
   }
+  HTG_RETURN_IF_ERROR(iter->status());
 
   if (!runs.empty()) {
     // External path: the tail buffer becomes the final run, then a k-way
     // merge streams the total order back from disk.
-    if (!rows.empty()) HTG_RETURN_IF_ERROR(flush_run());
+    if (!at.empty()) HTG_RETURN_IF_ERROR(flush_run());
     if (stats != nullptr) RecordPeakMem(stats, charge.peak());
     std::vector<bool> descending(keys.size());
     for (size_t k = 0; k < keys.size(); ++k) {
@@ -233,34 +220,26 @@ Result<std::unique_ptr<storage::RowIterator>> OpenSorted(
 
   // In-memory path. Keys are already materialized, so parallelism is a
   // pure chunk-sort + k-way merge over index ranges.
-  const auto less = [&](size_t a, size_t b) {
-    for (size_t k = 0; k < keys.size(); ++k) {
-      const int cmp = sort_keys[a][k].Compare(sort_keys[b][k]);
-      if (cmp != 0) return keys[k].descending ? cmp > 0 : cmp < 0;
-    }
-    return a < b;
-  };
-
-  std::vector<size_t> order(rows.size());
+  std::vector<size_t> order(at.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
 
   const int dop = ctx->pool != nullptr && ctx->dop > 1 &&
-                          rows.size() >= kParallelSortMinRows
+                          order.size() >= kParallelSortMinRows
                       ? std::min<int>(ctx->dop,
-                                      static_cast<int>(rows.size() / 1024))
+                                      static_cast<int>(order.size() / 1024))
                       : 1;
   if (dop <= 1) {
     std::sort(order.begin(), order.end(), less);
   } else {
     // Parallel sort: per-worker chunk sort, then a k-way merge. Ties
-    // resolve to input order (see `less`), so the result is identical to
+    // resolve to input order (see KeyLess), so the result is identical to
     // a serial stable sort no matter how the rows are chunked.
     const size_t nchunks = static_cast<size_t>(dop);
-    const size_t chunk = (rows.size() + nchunks - 1) / nchunks;
+    const size_t chunk = (order.size() + nchunks - 1) / nchunks;
     HTG_RETURN_IF_ERROR(ParallelDrainMorsels(
         ctx->pool, dop, nchunks, [&](int, size_t c) -> Status {
           const size_t lo = c * chunk;
-          const size_t hi = std::min(lo + chunk, rows.size());
+          const size_t hi = std::min(lo + chunk, order.size());
           if (lo < hi) std::sort(order.begin() + lo, order.begin() + hi, less);
           return Status::OK();
         }));
@@ -282,12 +261,27 @@ Result<std::unique_ptr<storage::RowIterator>> OpenSorted(
     order = std::move(merged);
   }
 
-  std::vector<Row> sorted;
-  sorted.reserve(rows.size());
-  for (size_t i : order) sorted.push_back(std::move(rows[i]));
+  // Gather the sorted rows into output batches, moving each value once.
+  const size_t ncols = batches.empty() ? 0 : batches[0].num_columns();
+  std::vector<RowBatch> sorted;
+  for (size_t first = 0; first < order.size(); first += ctx->batch_rows) {
+    const size_t end = std::min(order.size(), first + ctx->batch_rows);
+    RowBatch out(ctx->batch_rows);
+    out.ResetColumns(ncols);
+    for (size_t c = 0; c < ncols; ++c) {
+      std::vector<Value>& col = out.column(c);
+      col.reserve(end - first);
+      for (size_t p = first; p < end; ++p) {
+        const auto [b, r] = at[order[p]];
+        col.push_back(std::move(batches[b].column(c)[r]));
+      }
+    }
+    out.set_num_rows(end - first);
+    sorted.push_back(std::move(out));
+  }
   if (stats != nullptr) RecordPeakMem(stats, charge.peak());
-  return {std::make_unique<ChargedRowsIterator>(std::move(sorted),
-                                                std::move(charge))};
+  return {std::make_unique<ChargedBatchesIterator>(std::move(sorted),
+                                                   std::move(charge))};
 }
 
 Result<std::unique_ptr<storage::RowIterator>> SortOp::OpenImpl(
@@ -309,20 +303,26 @@ RowNumberOp::RowNumberOp(OperatorPtr child, std::vector<SortKey> keys,
 
 namespace {
 
-// Streams the sorted input, appending the 1-based rank — no extra
-// materialization on top of the sort.
-class RowNumberIterator : public storage::RowIterator {
+// Streams the sorted input, appending the 1-based rank column to each
+// batch — no extra materialization on top of the sort.
+class RowNumberIterator : public BatchIterator {
  public:
   explicit RowNumberIterator(std::unique_ptr<storage::RowIterator> input)
       : input_(std::move(input)) {}
 
-  bool Next(Row* row) override {
-    if (!input_->Next(row)) return false;
-    row->push_back(Value::Int64(static_cast<int64_t>(++rank_)));
+ protected:
+  bool ProduceBatch(RowBatch* batch) override {
+    if (!input_->NextBatch(batch)) {
+      status_ = input_->status();
+      return false;
+    }
+    std::vector<Value>& rank = batch->AddColumn();
+    rank.resize(batch->num_rows());
+    for (size_t i = 0; i < batch->ActiveRows(); ++i) {
+      rank[batch->ActiveIndex(i)] = Value::Int64(static_cast<int64_t>(++rank_));
+    }
     return true;
   }
-
-  Status status() const override { return input_->status(); }
 
  private:
   std::unique_ptr<storage::RowIterator> input_;

@@ -51,13 +51,13 @@ inline Status SpillDepthError(const char* op) {
       op, kMaxSpillDepth));
 }
 
-// Materialized-rows stream that keeps its MemoryCharge (and with it the
+// Materialized-batches stream that keeps its MemoryCharge (and with it the
 // query-context accounting) alive until the consumer is done with the
-// rows.
-class ChargedRowsIterator : public MaterializedRowsIterator {
+// batches: aggregate, sort and constant-scan output.
+class ChargedBatchesIterator : public MaterializedBatchesIterator {
  public:
-  ChargedRowsIterator(std::vector<Row> rows, MemoryCharge charge)
-      : MaterializedRowsIterator(std::move(rows)),
+  ChargedBatchesIterator(std::vector<RowBatch> batches, MemoryCharge charge)
+      : MaterializedBatchesIterator(std::move(batches)),
         charge_(std::move(charge)) {}
 
  private:

@@ -58,22 +58,20 @@ Result<const CachedReference*> GetOrBuild(const std::string& path,
   return &it->second;
 }
 
-// Pulls reads from the lane stream, aligns, and emits aligned rows.
-class AlignIterator : public storage::RowIterator {
+// Pulls parsed reads from the lane stream, aligns, and emits aligned rows.
+class AlignIterator : public storage::RowSource {
  public:
-  AlignIterator(std::unique_ptr<storage::RowIterator> reads,
+  AlignIterator(std::unique_ptr<ShortReadStreamIterator> reads,
                 const CachedReference* cached)
       : reads_(std::move(reads)), cached_(cached) {}
 
-  bool Next(Row* row) override {
-    Row read_row;
-    while (reads_->Next(&read_row)) {
+  Status status() const override { return reads_->status(); }
+
+ protected:
+  bool NextRow(Row* row) override {
+    for (;;) {
       ShortRead read;
-      read.name = read_row[0].AsString();
-      read.sequence = read_row[1].AsString();
-      if (read_row.size() > 2 && !read_row[2].is_null()) {
-        read.quality = read_row[2].AsString();
-      }
+      if (!reads_->NextRead(&read)) return false;
       Result<Alignment> aligned = cached_->aligner->AlignRead(read);
       if (!aligned.ok()) continue;  // unaligned reads are dropped
       row->clear();
@@ -86,16 +84,11 @@ class AlignIterator : public storage::RowIterator {
       row->push_back(Value::Int32(aligned->mapping_quality));
       return true;
     }
-    status_ = reads_->status();
-    return false;
   }
 
-  Status status() const override { return status_; }
-
  private:
-  std::unique_ptr<storage::RowIterator> reads_;
+  std::unique_ptr<ShortReadStreamIterator> reads_;
   const CachedReference* cached_;
-  Status status_;
 };
 
 }  // namespace

@@ -15,12 +15,13 @@ int BaseIndex(char base) {
 
 char IndexBase(int i) { return i < 4 ? kBases[i] : 'N'; }
 
-class PivotIterator : public storage::RowIterator {
+class PivotIterator : public storage::RowSource {
  public:
   PivotIterator(int64_t position, std::string seq, std::string quals)
       : position_(position), seq_(std::move(seq)), quals_(std::move(quals)) {}
 
-  bool Next(Row* row) override {
+ protected:
+  bool NextRow(Row* row) override {
     if (index_ >= seq_.size()) return false;
     row->clear();
     row->push_back(Value::Int64(position_ + static_cast<int64_t>(index_)));

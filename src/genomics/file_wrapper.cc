@@ -55,21 +55,20 @@ bool ShortReadStreamIterator::ReadChunk() {
   return true;
 }
 
-bool ShortReadStreamIterator::Next(Row* row) {
+bool ShortReadStreamIterator::NextRead(ShortRead* read) {
   if (!status_.ok()) return false;
-  ShortRead read;
   for (;;) {
     bool parsed;
     if (format_ == ShortReadFormat::kFastq) {
       parsed = fastq_.ParseRecord(buffer_.data(), buffer_filled_,
-                                  &buffer_pos_, &read);
+                                  &buffer_pos_, read);
       if (!fastq_.status().ok()) {
         status_ = fastq_.status();
         return false;
       }
     } else {
       parsed = fasta_.ParseRecord(buffer_.data(), buffer_filled_,
-                                  &buffer_pos_, &read);
+                                  &buffer_pos_, read);
       if (!fasta_.status().ok()) {
         status_ = fasta_.status();
         return false;
@@ -82,13 +81,19 @@ bool ShortReadStreamIterator::Next(Row* row) {
           format_ == ShortReadFormat::kFasta) {
         // One more attempt with the EOF flag set (final FASTA record).
         if (fasta_.ParseRecord(buffer_.data(), buffer_filled_, &buffer_pos_,
-                               &read)) {
+                               read)) {
           break;
         }
       }
       return false;
     }
   }
+  return true;
+}
+
+bool ShortReadStreamIterator::NextRow(Row* row) {
+  ShortRead read;
+  if (!NextRead(&read)) return false;
   // FillRow: convert the parsed record into engine values.
   row->clear();
   row->push_back(Value::String(std::move(read.name)));
@@ -111,12 +116,17 @@ Result<std::string> FindShortReadBlob(Database* db, int64_t sample,
         "ShortReadFiles must have (sample, lane, reads) columns");
   }
   std::unique_ptr<storage::RowIterator> scan = table->table->NewScan();
-  Row row;
-  while (scan->Next(&row)) {
-    if (!row[sample_col].is_null() && !row[lane_col].is_null() &&
-        row[sample_col].AsInt64() == sample &&
-        row[lane_col].AsInt64() == lane && !row[reads_col].is_null()) {
-      return row[reads_col].AsString();
+  RowBatch batch;
+  while (scan->NextBatch(&batch)) {
+    const std::vector<Value>& samples = batch.column(sample_col);
+    const std::vector<Value>& lanes = batch.column(lane_col);
+    const std::vector<Value>& reads = batch.column(reads_col);
+    for (size_t r = 0; r < batch.num_rows(); ++r) {
+      if (!samples[r].is_null() && !lanes[r].is_null() &&
+          samples[r].AsInt64() == sample && lanes[r].AsInt64() == lane &&
+          !reads[r].is_null()) {
+        return reads[r].AsString();
+      }
     }
   }
   HTG_RETURN_IF_ERROR(scan->status());

@@ -24,19 +24,25 @@ Schema ShortReadSchema(ShortReadFormat format);
 // records: the engine-side realization of the paper's Fig. 5. The iterator
 // pulls the file in large chunks (ReadChunk), parses records out of its
 // buffer, and pages incomplete trailing entries to the buffer front before
-// refilling — exactly the pseudo-code of §4.1. Each Next() performs the
+// refilling — exactly the pseudo-code of §4.1. Each NextRow() performs the
 // FillRow-style conversion of parsed fields into engine Values.
-class ShortReadStreamIterator : public storage::RowIterator {
+class ShortReadStreamIterator : public storage::RowSource {
  public:
   ShortReadStreamIterator(std::unique_ptr<storage::FileStreamReader> stream,
                           ShortReadFormat format,
                           size_t chunk_bytes = kDefaultChunkBytes);
 
-  bool Next(Row* row) override;
+  // Parses the next record without converting it to Values (AlignReads
+  // consumes the parsed reads directly). False at end of file or on error.
+  bool NextRead(ShortRead* read);
+
   Status status() const override { return status_; }
 
   // Bytes pulled from the stream so far (observability for benches).
   uint64_t bytes_read() const { return file_pos_; }
+
+ protected:
+  bool NextRow(Row* row) override;
 
  private:
   // Refills the buffer, preserving [buffer_pos_, buffer_filled_) at the

@@ -123,7 +123,7 @@ namespace {
 // Streams an SRF FileStream BLOB record by record with the Fig. 5 chunk
 // pager (records are length-delimited, so paging needs only "retry when
 // DecodeRecord hits the buffer end").
-class SrfStreamIterator : public storage::RowIterator {
+class SrfStreamIterator : public storage::RowSource {
  public:
   SrfStreamIterator(std::unique_ptr<storage::FileStreamReader> stream,
                     size_t chunk_bytes)
@@ -131,7 +131,10 @@ class SrfStreamIterator : public storage::RowIterator {
     buffer_.resize(std::max<size_t>(chunk_bytes, 4096));
   }
 
-  bool Next(Row* row) override {
+  Status status() const override { return status_; }
+
+ protected:
+  bool NextRow(Row* row) override {
     if (!status_.ok()) return false;
     if (!header_done_ && !ReadHeader()) return false;
     if (emitted_ >= record_count_) return false;
@@ -165,8 +168,6 @@ class SrfStreamIterator : public storage::RowIterator {
     row->push_back(Value::Double(record.signal_to_noise));
     return true;
   }
-
-  Status status() const override { return status_; }
 
  private:
   bool ReadHeader() {

@@ -815,7 +815,17 @@ Result<OperatorPtr> Binder::BindSelect(const SelectStmt& stmt) {
   plan = std::make_unique<exec::ProjectOp>(std::move(plan),
                                            std::move(proj_exprs), proj_names);
   if (stmt.distinct) {
-    plan = std::make_unique<exec::DistinctOp>(std::move(plan));
+    // DISTINCT is a hash aggregate grouping by every projected column,
+    // with no aggregates: Value equality, the group table's spill.
+    std::vector<ExprPtr> keys;
+    for (size_t i = 0; i < proj_names.size(); ++i) {
+      const Column& col = plan->output_schema().column(static_cast<int>(i));
+      keys.push_back(std::make_unique<exec::ColumnRefExpr>(
+          static_cast<int>(i), col.name, col.type));
+    }
+    plan = std::make_unique<exec::HashAggregateOp>(
+        std::move(plan), std::move(keys), proj_names,
+        std::vector<exec::AggSpec>{});
   }
 
   if (!sort_cols.empty()) {

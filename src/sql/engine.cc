@@ -6,6 +6,7 @@
 #include "common/metrics.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
+#include "exec/batch.h"
 #include "sql/binder.h"
 #include "sql/parser.h"
 #include "storage/clustered_table.h"
@@ -600,13 +601,14 @@ Result<QueryResult> SqlEngine::ExecuteInsert(const InsertStmt& stmt,
     }
     Result<std::unique_ptr<storage::RowIterator>> iter = (*plan)->Open(&ctx);
     if (!iter.ok()) return fail(iter.status());
+    exec::RowReader source_rows(iter->get(), ctx.batch_rows);
     Row row;
-    while ((*iter)->Next(&row)) {
+    while (source_rows.Next(&row)) {
       const Status s = insert_source_row(std::move(row));
       if (!s.ok()) return fail(s);
       row.clear();
     }
-    const Status s = (*iter)->status();
+    const Status s = source_rows.status();
     if (!s.ok()) return fail(s);
   }
 

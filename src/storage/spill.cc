@@ -185,7 +185,7 @@ bool SpillRunReader::LoadNextPage() {
   return true;
 }
 
-bool SpillRunReader::Next(Row* row) {
+bool SpillRunReader::NextRow(Row* row) {
   if (!status_.ok()) return false;
   if (!LoadNextPage()) return false;
   const Status s = SpillDecodeRow(&pos_, limit_, row);

@@ -95,13 +95,15 @@ class SpillRunWriter {
 };
 
 // Streams one run back, pinning pages through the buffer pool (CRC
-// verified on any miss fill).
-class SpillRunReader : public RowIterator {
+// verified on any miss fill). The spill passes that own a reader (merge
+// sort, grace join) read it row by row directly, so NextRow is public
+// here.
+class SpillRunReader : public RowSource {
  public:
   SpillRunReader(SpillFile* file, SpillRun run)
       : file_(file), run_(std::move(run)) {}
 
-  bool Next(Row* row) override;
+  bool NextRow(Row* row) override;
   Status status() const override { return status_; }
 
  private:

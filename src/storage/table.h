@@ -13,38 +13,40 @@
 
 namespace htg::storage {
 
-// Pull-based row cursor, the engine's universal scan interface.
+// Pull-based batch cursor, the one protocol between operators and the
+// engine's universal scan interface.
 class RowIterator {
  public:
   virtual ~RowIterator() = default;
 
-  // Produces the next row. Returns false at end of stream or on error
-  // (check status() to distinguish).
-  virtual bool Next(Row* row) = 0;
-
   // Produces the next batch of rows: clears `batch` and fills it up to
-  // its capacity. Returns true iff at least one row was produced; false
-  // means end of stream or error (check status()). The default adapter
-  // loops Next() so every row-only iterator participates in the batch
-  // pull path; hot storage scans override this with a page-native fill.
-  virtual bool NextBatch(RowBatch* batch) {
+  // its capacity. Returns true iff at least one live row was produced;
+  // false means end of stream or error (check status()).
+  virtual bool NextBatch(RowBatch* batch) = 0;
+
+  virtual Status status() const { return Status::OK(); }
+};
+
+// Base of the producers that are naturally one row at a time: TVF
+// iterators (the paper's Fig. 5 FillRow contract), spill-run readers,
+// join and stream-aggregate outputs. Subclasses implement NextRow();
+// NextBatch() loops it, moving each row's values into the batch columns.
+class RowSource : public RowIterator {
+ public:
+  bool NextBatch(RowBatch* batch) final {
     batch->Clear();
     Row row;
-    while (!batch->full() && Next(&row)) {
+    while (!batch->full() && NextRow(&row)) {
       batch->AppendRow(std::move(row));
       row.clear();
     }
     return batch->num_rows() > 0;
   }
 
-  // True when NextBatch() is a native columnar fill rather than the
-  // row-loop adapter above. Batch consumers check this to decide whether
-  // a vectorized kernel pays: pulling batches from a row-only producer
-  // moves every value into a batch and straight back out again, so those
-  // pipelines stay row-at-a-time end to end.
-  virtual bool BatchNative() const { return false; }
-
-  virtual Status status() const { return Status::OK(); }
+ protected:
+  // Produces the next row. Returns false at end of stream or on error
+  // (status() distinguishes).
+  virtual bool NextRow(Row* row) = 0;
 };
 
 // Physical storage accounting, the measurement behind Tables 1 and 2.

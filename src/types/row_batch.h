@@ -22,12 +22,13 @@ namespace htg {
 //   * Filters narrow a batch by replacing the selection vector; they never
 //     move column data. Projections emit dense (selection-free) batches.
 //
-// Rows cross back into row-at-a-time form only through FillRow()/
-// AppendRow() — the deliberate seam where per-row UDF/TVF/CROSS APPLY
-// work happens (the paper's §5.2 boundary, kept measurable on purpose).
+// Rows enter a batch one at a time only through AppendRow() (per-row
+// producers such as TVFs, the paper's §5.2 boundary) and leave it as rows
+// only through exec::RowReader (which moves values) or FillRow() copies
+// (a scalar expression without a batch kernel, a spilled aggregate row).
 class RowBatch {
  public:
-  // Default batch size; see HTG_BATCH_ROWS / DatabaseOptions::batch_rows.
+  // Default batch size; see DatabaseOptions::batch_rows.
   static constexpr size_t kDefaultRows = 1024;
 
   RowBatch() : capacity_(kDefaultRows) {}
@@ -85,6 +86,24 @@ class RowBatch {
     columns_.resize(num_columns);
     Clear();
   }
+
+  // Moves the live rows, in selection order, into dense columns and drops
+  // the selection.
+  void Compact() {
+    if (!has_selection_) return;
+    for (std::vector<Value>& col : columns_) {
+      std::vector<Value> dense;
+      dense.reserve(selection_.size());
+      for (uint32_t r : selection_) dense.push_back(std::move(col[r]));
+      col = std::move(dense);
+    }
+    num_rows_ = selection_.size();
+    ClearSelection();
+  }
+
+  // Appends an empty column for the caller to fill with num_rows()
+  // values.
+  std::vector<Value>& AddColumn() { return columns_.emplace_back(); }
 
   // Declares the row count after columns were written directly by a batch
   // kernel. Every column must hold exactly `n` values.

@@ -3,6 +3,7 @@
 #include <set>
 
 #include "common/string_util.h"
+#include "exec/batch.h"
 
 namespace htg::workflow {
 
@@ -53,8 +54,9 @@ Result<std::vector<ProvenanceRecorder::Event>> ProvenanceRecorder::LineageOf(
   std::vector<Event> all;
   {
     std::unique_ptr<storage::RowIterator> scan = table->table->NewScan();
+    exec::RowReader rows(scan.get());
     Row row;
-    while (scan->Next(&row)) {
+    while (rows.Next(&row)) {
       Event event;
       event.event_id = row[0].AsInt64();
       event.sequence = event.event_id;
@@ -64,7 +66,7 @@ Result<std::vector<ProvenanceRecorder::Event>> ProvenanceRecorder::LineageOf(
       event.output_artifact = row[4].AsString();
       all.push_back(std::move(event));
     }
-    HTG_RETURN_IF_ERROR(scan->status());
+    HTG_RETURN_IF_ERROR(rows.status());
   }
   std::set<std::string> frontier = {artifact};
   std::set<int64_t> selected;

@@ -3,6 +3,7 @@
 #include <map>
 
 #include "common/random.h"
+#include "exec/batch.h"
 #include "genomics/aligner.h"
 #include "genomics/consensus.h"
 #include "genomics/nucleotide.h"
@@ -20,17 +21,18 @@ TEST(PivotAlignmentTest, ExplodesReadIntoBases) {
                         Value::String("I#5")},
                        nullptr);
   ASSERT_TRUE(iter.ok());
+  exec::RowReader reader(iter->get());
   Row row;
-  ASSERT_TRUE((*iter)->Next(&row));
+  ASSERT_TRUE(reader.Next(&row));
   EXPECT_EQ(row[0].AsInt64(), 100);
   EXPECT_EQ(row[1].AsString(), "A");
   EXPECT_EQ(row[2].AsInt64(), CharToPhred('I'));
-  ASSERT_TRUE((*iter)->Next(&row));
+  ASSERT_TRUE(reader.Next(&row));
   EXPECT_EQ(row[0].AsInt64(), 101);
-  ASSERT_TRUE((*iter)->Next(&row));
+  ASSERT_TRUE(reader.Next(&row));
   EXPECT_EQ(row[0].AsInt64(), 102);
   EXPECT_EQ(row[1].AsString(), "G");
-  EXPECT_FALSE((*iter)->Next(&row));
+  EXPECT_FALSE(reader.Next(&row));
 }
 
 TEST(CallBaseTest, QualityWeightedVote) {

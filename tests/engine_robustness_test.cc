@@ -286,5 +286,28 @@ TEST_F(RobustnessTest, CountDistinctDedupesByValueNotText) {
   EXPECT_EQ(groups.rows[0][0].AsInt64(), 2);
 }
 
+// SELECT DISTINCT dedupes by value, agreeing with COUNT(DISTINCT) and
+// GROUP BY: close doubles stay apart, and so do equal-length blobs.
+TEST_F(RobustnessTest, SelectDistinctDedupesByValueNotText) {
+  Exec("CREATE TABLE t (c FLOAT)");
+  Exec("INSERT INTO t VALUES (1.0000001), (1.0000002), (1.0000003), "
+       "(1.0000002)");
+  QueryResult distinct = Exec("SELECT DISTINCT c FROM t ORDER BY c");
+  ASSERT_EQ(distinct.rows.size(), 3u);
+  EXPECT_EQ(distinct.rows[0][0].AsDouble(), 1.0000001);
+  EXPECT_EQ(distinct.rows[1][0].AsDouble(), 1.0000002);
+  EXPECT_EQ(distinct.rows[2][0].AsDouble(), 1.0000003);
+  EXPECT_EQ(Exec("SELECT COUNT(DISTINCT c) FROM t").rows[0][0].AsInt64(), 3);
+  EXPECT_EQ(Exec("SELECT c FROM t GROUP BY c").rows.size(), 3u);
+
+  Exec("CREATE TABLE b (v VARBINARY(16))");
+  Result<catalog::TableDef*> blobs = db_->GetTable("b");
+  ASSERT_TRUE(blobs.ok());
+  for (const char* bytes : {"ab", "cd", "ab"}) {
+    ASSERT_TRUE(db_->InsertRow(*blobs, Row{Value::Blob(bytes)}).ok());
+  }
+  EXPECT_EQ(Exec("SELECT DISTINCT v FROM b").rows.size(), 2u);
+}
+
 }  // namespace
 }  // namespace htg::sql

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "catalog/database.h"
+#include "exec/operator.h"
 #include "genomics/file_wrapper.h"
 #include "genomics/register.h"
 #include "genomics/simulator.h"
@@ -54,9 +55,10 @@ TEST_P(ChunkSizeSweep, FastqRecordsIdenticalAcrossChunkSizes) {
   ASSERT_TRUE(stream.ok());
   ShortReadStreamIterator iter(std::move(*stream), ShortReadFormat::kFastq,
                                GetParam());
-  Row row;
+  std::vector<Row> rows;
+  EXPECT_TRUE(exec::DrainIterator(&iter, &rows).ok());
   size_t i = 0;
-  while (iter.Next(&row)) {
+  for (const Row& row : rows) {
     ASSERT_LT(i, reads_.size());
     EXPECT_EQ(row[0].AsString(), reads_[i].name) << "chunk=" << GetParam();
     EXPECT_EQ(row[1].AsString(), reads_[i].sequence);
@@ -78,9 +80,10 @@ TEST_F(FileWrapperTest, FastaStreamingMatchesWholeFileParse) {
   ASSERT_TRUE(stream.ok());
   ShortReadStreamIterator iter(std::move(*stream), ShortReadFormat::kFasta,
                                4096);
-  Row row;
+  std::vector<Row> rows;
+  EXPECT_TRUE(exec::DrainIterator(&iter, &rows).ok());
   size_t i = 0;
-  while (iter.Next(&row)) {
+  for (const Row& row : rows) {
     EXPECT_EQ(row[1].AsString(), reads_[i].sequence);
     ++i;
   }
@@ -150,8 +153,9 @@ TEST_F(FileWrapperTest, CorruptBlobSurfacesError) {
   auto stream = db_->filestream()->OpenStream(blob);
   ASSERT_TRUE(stream.ok());
   ShortReadStreamIterator iter(std::move(*stream), ShortReadFormat::kFastq);
-  Row row;
-  EXPECT_FALSE(iter.Next(&row));
+  std::vector<Row> rows;
+  EXPECT_FALSE(exec::DrainIterator(&iter, &rows).ok());
+  EXPECT_TRUE(rows.empty());
   EXPECT_FALSE(iter.status().ok());
 }
 
@@ -160,9 +164,9 @@ TEST_F(FileWrapperTest, EmptyBlobYieldsNoRows) {
   auto stream = db_->filestream()->OpenStream(blob);
   ASSERT_TRUE(stream.ok());
   ShortReadStreamIterator iter(std::move(*stream), ShortReadFormat::kFastq);
-  Row row;
-  EXPECT_FALSE(iter.Next(&row));
-  EXPECT_TRUE(iter.status().ok());
+  std::vector<Row> rows;
+  EXPECT_TRUE(exec::DrainIterator(&iter, &rows).ok());
+  EXPECT_TRUE(rows.empty());
 }
 
 TEST_F(FileWrapperTest, BytesReadTracksFileSize) {
@@ -173,9 +177,8 @@ TEST_F(FileWrapperTest, BytesReadTracksFileSize) {
   ASSERT_TRUE(stream.ok());
   const uint64_t file_size = (*stream)->size();
   ShortReadStreamIterator iter(std::move(*stream), ShortReadFormat::kFastq);
-  Row row;
-  while (iter.Next(&row)) {
-  }
+  std::vector<Row> rows;
+  EXPECT_TRUE(exec::DrainIterator(&iter, &rows).ok());
   EXPECT_EQ(iter.bytes_read(), file_size);
 }
 

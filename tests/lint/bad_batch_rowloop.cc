@@ -1,6 +1,7 @@
 // Fixture: a src/exec batch kernel that secretly degrades to per-row
-// pulls. Both detection paths must fire on the same pattern: a class
-// deriving BatchIterator, and a free function whose name contains Batch.
+// pulls through a RowReader. Both detection paths must fire on the same
+// pattern: a class deriving BatchIterator, and a free function whose name
+// contains Batch.
 // expect-lint: exec-batch-rowloop
 
 #include "exec/batch.h"
@@ -9,14 +10,13 @@ namespace htg::exec {
 
 class LeakyBatchScan : public BatchIterator {
  public:
-  explicit LeakyBatchScan(storage::RowIterator* child)
-      : BatchIterator(0), child_(child) {}
+  explicit LeakyBatchScan(storage::RowIterator* child) : rows_(child) {}
 
  protected:
   bool ProduceBatch(RowBatch* batch) override {
     batch->Clear();
     Row row;
-    while (!batch->full() && child_->Next(&row)) {
+    while (!batch->full() && rows_.Next(&row)) {
       batch->AppendRow(std::move(row));
       row.clear();
     }
@@ -24,17 +24,17 @@ class LeakyBatchScan : public BatchIterator {
   }
 
  private:
-  storage::RowIterator* child_;
+  RowReader rows_;
 };
 
-inline Status DrainOneBatch(storage::RowIterator* iter, RowBatch* batch) {
+inline Status DrainOneBatch(RowReader* rows, RowBatch* batch) {
   batch->Clear();
   Row row;
-  while (!batch->full() && iter->Next(&row)) {
+  while (!batch->full() && rows->Next(&row)) {
     batch->AppendRow(std::move(row));
     row.clear();
   }
-  return iter->status();
+  return rows->status();
 }
 
 }  // namespace htg::exec

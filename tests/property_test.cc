@@ -11,6 +11,7 @@
 
 #include "common/random.h"
 #include "exec/expression.h"
+#include "exec/operator.h"
 #include "genomics/dna_sequence.h"
 #include "genomics/formats.h"
 #include "genomics/nucleotide.h"
@@ -346,9 +347,10 @@ TEST(HeapTableProperty, ScanReturnsInsertionOrderAtAnyPageSize) {
               .ok());
     }
     auto iter = table.NewScan();
-    Row row;
+    std::vector<Row> rows;
+    ASSERT_TRUE(exec::DrainIterator(iter.get(), &rows).ok());
     int i = 0;
-    while (iter->Next(&row)) {
+    for (const Row& row : rows) {
       EXPECT_EQ(row[0].AsInt64(), i) << "page_size=" << page_size;
       ++i;
     }

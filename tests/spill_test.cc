@@ -1,10 +1,11 @@
 // Memory governance and spill-to-disk degradation: parity between
 // in-memory and forced-spill execution for sort / hash aggregate / hash
-// join (row mode, batch mode, and DOP-8 parallel aggregation), typed
-// kResourceExhausted failures when spilling is unavailable, EXPLAIN
-// ANALYZE spill reporting, and fault injection into the spill write path
-// through the Vfs seam (ENOSPC, torn write, transient EIO) — after which
-// the session keeps working and no orphan spill files remain.
+// join (one-row and default-size batches, DOP-8 parallel aggregation),
+// DISTINCT spilling like GROUP BY, typed kResourceExhausted failures when
+// spilling is unavailable, EXPLAIN ANALYZE spill reporting, and fault
+// injection into the spill write path through the Vfs seam (ENOSPC, torn
+// write, transient EIO) — after which the session keeps working and no
+// orphan spill files remain.
 
 #include <gtest/gtest.h>
 
@@ -122,8 +123,7 @@ void ExpectParity(SqlEngine* reference, SqlEngine* tiny,
   EXPECT_EQ(want, have) << sql;
 }
 
-// batch_rows parameter: 1 = legacy row-at-a-time path, 0 = vectorized
-// batches (the default).
+// batch_rows parameter: 1 = one-row batches, 0 = the default batch size.
 class SpillParityTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(SpillParityTest, ExternalSortMatchesInMemorySort) {
@@ -207,16 +207,40 @@ TEST(SpillDisabledTest, OverBudgetFailsTypedAndSessionSurvives) {
   EXPECT_EQ(alive->rows[0][0].AsInt64(), kRows);
 }
 
-TEST(SpillDisabledTest, DistinctHasNoSpillAndFailsTyped) {
-  // DISTINCT's dedup set has no out-of-core fallback: over budget it
-  // fails typed even with spilling enabled.
+TEST(SpillDistinctTest, SpillsUnderBudgetAndFailsTypedWhenDisabled) {
+  // DISTINCT is a hash aggregate over the projected columns, so over
+  // budget it spills like GROUP BY and returns every distinct row.
+  std::vector<std::string> want;
+  for (int i = 0; i < kRows; ++i) {
+    want.push_back(PayloadFor(i) + "|" + std::to_string(i) + "|");
+  }
+  std::sort(want.begin(), want.end());
   auto db = OpenLoaded("distinct", kTinyBudget, /*enable_spill=*/true, 0, 4);
   ASSERT_NE(db, nullptr);
   SqlEngine engine(db.get());
   Result<QueryResult> r = engine.Execute("SELECT DISTINCT s, v FROM t");
-  ASSERT_FALSE(r.ok());
-  EXPECT_TRUE(r.status().IsResourceExhausted()) << r.status().ToString();
-  EXPECT_TRUE(engine.Execute("SELECT COUNT(*) FROM t").ok());
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  std::vector<std::string> have = RowStrings(*r);
+  std::sort(have.begin(), have.end());
+  EXPECT_EQ(want, have);
+  Result<QueryResult> explain =
+      engine.Execute("EXPLAIN ANALYZE SELECT DISTINCT s, v FROM t");
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  EXPECT_NE(explain->message.find("spill runs="), std::string::npos)
+      << explain->message;
+
+  // With spilling off, the same statement fails typed and the session
+  // keeps working.
+  auto nospill =
+      OpenLoaded("distinct_nospill", kTinyBudget, /*enable_spill=*/false, 0, 4);
+  ASSERT_NE(nospill, nullptr);
+  SqlEngine nospill_engine(nospill.get());
+  Result<QueryResult> failed =
+      nospill_engine.Execute("SELECT DISTINCT s, v FROM t");
+  ASSERT_FALSE(failed.ok());
+  EXPECT_TRUE(failed.status().IsResourceExhausted())
+      << failed.status().ToString();
+  EXPECT_TRUE(nospill_engine.Execute("SELECT COUNT(*) FROM t").ok());
 }
 
 TEST(SpillExplainTest, AnalyzeReportsSpillRunsAndPeakMem) {

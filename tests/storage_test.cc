@@ -4,6 +4,7 @@
 #include <map>
 
 #include "common/random.h"
+#include "exec/operator.h"
 #include "storage/bplus_tree.h"
 #include "storage/clustered_table.h"
 #include "storage/filestream.h"
@@ -218,13 +219,13 @@ TEST(HeapTableTest, InsertScanRoundTrip) {
   }
   EXPECT_EQ(table.num_rows(), 500u);
   auto iter = table.NewScan();
-  Row row;
+  std::vector<Row> rows;
+  ASSERT_TRUE(exec::DrainIterator(iter.get(), &rows).ok());
   int count = 0;
-  while (iter->Next(&row)) {
+  for (const Row& row : rows) {
     EXPECT_EQ(row[0].AsInt64(), count);
     ++count;
   }
-  EXPECT_TRUE(iter->status().ok());
   EXPECT_EQ(count, 500);
   EXPECT_GT(table.Stats().pages, 1u);
 }
@@ -239,9 +240,9 @@ TEST(HeapTableTest, RangeScansPartitionCompletely) {
   const int parts = 3;
   for (int p = 0; p < parts; ++p) {
     auto iter = table.NewScanRange(pages * p / parts, pages * (p + 1) / parts);
-    Row row;
-    while (iter->Next(&row)) ++total;
-    EXPECT_TRUE(iter->status().ok());
+    std::vector<Row> rows;
+    EXPECT_TRUE(exec::DrainIterator(iter.get(), &rows).ok());
+    total += static_cast<int>(rows.size());
   }
   EXPECT_EQ(total, 300);
 }
@@ -253,9 +254,10 @@ TEST(HeapTableTest, TruncateToRowsUndoesAppends) {
   ASSERT_TRUE(table.TruncateToRows(100).ok());
   EXPECT_EQ(table.num_rows(), 100u);
   auto iter = table.NewScan();
-  Row row;
+  std::vector<Row> rows;
+  ASSERT_TRUE(exec::DrainIterator(iter.get(), &rows).ok());
   int count = 0;
-  while (iter->Next(&row)) {
+  for (const Row& row : rows) {
     EXPECT_EQ(row[0].AsInt64(), count);
     ++count;
   }
@@ -268,8 +270,8 @@ TEST(HeapTableTest, TruncateClearsAll) {
   table.Truncate();
   EXPECT_EQ(table.num_rows(), 0u);
   auto iter = table.NewScan();
-  Row row;
-  EXPECT_FALSE(iter->Next(&row));
+  RowBatch batch;
+  EXPECT_FALSE(iter->NextBatch(&batch));
 }
 
 TEST(BPlusTreeTest, OrderedScanMatchesMultimap) {
@@ -363,10 +365,11 @@ TEST(ClusteredTableTest, ScanInKeyOrder) {
                     .ok());
   }
   auto iter = table.NewScan();
-  Row row;
+  std::vector<Row> rows;
+  ASSERT_TRUE(exec::DrainIterator(iter.get(), &rows).ok());
   Row prev;
   int count = 0;
-  while (iter->Next(&row)) {
+  for (const Row& row : rows) {
     if (!prev.empty()) {
       EXPECT_LE(CompareRowsOn(prev, row, {0, 1}), 0);
     }
@@ -386,9 +389,10 @@ TEST(ClusteredTableTest, ScanFromSeeksPrefix) {
   }
   auto iter = table.NewScanFrom(Row{Value::Int64(90)});
   ASSERT_TRUE(iter.ok());
-  Row row;
+  std::vector<Row> rows;
+  ASSERT_TRUE(exec::DrainIterator(iter->get(), &rows).ok());
   int count = 0;
-  while ((*iter)->Next(&row)) {
+  for (const Row& row : rows) {
     EXPECT_GE(row[0].AsInt64(), 90);
     ++count;
   }

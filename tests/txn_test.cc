@@ -16,6 +16,7 @@
 
 #include "catalog/database.h"
 #include "common/metrics.h"
+#include "exec/batch.h"
 #include "server/client.h"
 #include "server/server.h"
 #include "server/session.h"
@@ -166,10 +167,11 @@ TEST(ClusteredSweepTest, SweepRemovesAbortedStampsWithoutDeadRowAccounting) {
   EXPECT_EQ(table.SweepAborted({7}), 1u);
   EXPECT_EQ(table.num_rows(), 1u);
   auto iter = table.NewScan();
+  exec::RowReader reader(iter.get());
   Row row;
-  ASSERT_TRUE(iter->Next(&row));
+  ASSERT_TRUE(reader.Next(&row));
   EXPECT_EQ(row[0].AsInt64(), 1);
-  EXPECT_FALSE(iter->Next(&row));
+  EXPECT_FALSE(reader.Next(&row));
 }
 
 // ----------------------------------------------------------- GC cadence

@@ -63,13 +63,15 @@ Rules (ids usable in NOLINT suppressions):
                     for "caller already holds the lock", and the
                     annotation is what lets Clang enforce it.
   exec-batch-rowloop
-                    No per-row `Next()` pulls inside src/exec batch
-                    kernels (functions named *Batch* or classes deriving
-                    BatchIterator): a row loop there silently degrades the
-                    vectorized path back to tuple-at-a-time. Pull whole
-                    batches with NextBatch(). Row-at-a-time iteration is
-                    sanctioned only at the UDF/TVF apply seam
-                    (src/exec/apply_ops.cc is exempt wholesale).
+                    No per-row `Next()` pulls (RowReader::Next) inside
+                    src/exec batch kernels (functions named *Batch* or
+                    classes deriving BatchIterator): a row loop there
+                    silently degrades the vectorized path back to
+                    tuple-at-a-time. Pull whole batches with NextBatch().
+                    Row-at-a-time reading is sanctioned only at the
+                    UDF/TVF apply seam (src/exec/apply_ops.cc is exempt
+                    wholesale) and in the per-row consumers outside batch
+                    kernels (joins, stream aggregate).
   exec-untracked-reserve
                     In the materializing operator files (sort_ops,
                     aggregate_ops, join_ops, basic_ops under src/exec), a
@@ -473,7 +475,7 @@ def _batch_kernel_bodies(text):
 
 def check_exec_batch_rowloop(path, text, rel):
     # Only the executor's batch kernels are restricted; the storage layer's
-    # default NextBatch adapter legitimately loops Next(). apply_ops.cc is
+    # RowSource batch fill legitimately loops NextRow(). apply_ops.cc is
     # the deliberate row seam (UDF/TVF/CROSS APPLY, paper Sec. 5.2) and is
     # exempt wholesale. Selftest fixtures arrive with a bare filename, which
     # must still trip the rule.
@@ -492,8 +494,8 @@ def check_exec_batch_rowloop(path, text, rel):
             seen.add(m.start())
             findings.append(Finding(
                 path, line_of(text, m.start()), "exec-batch-rowloop",
-                "per-row Next() inside a batch kernel degrades the "
-                "vectorized path to tuple-at-a-time; pull whole batches "
+                "per-row Next() (RowReader) inside a batch kernel degrades "
+                "the vectorized path to tuple-at-a-time; pull whole batches "
                 "with NextBatch() (row pulls are sanctioned only at the "
                 "UDF/TVF apply seam, src/exec/apply_ops.cc)"))
     return findings
