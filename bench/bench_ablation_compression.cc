@@ -7,9 +7,12 @@
 
 #include "bench/bench_util.h"
 #include "common/random.h"
+#include "storage/buffer_pool.h"
 #include "storage/heap_table.h"
 #include "storage/page.h"
 #include "storage/row_codec.h"
+#include "storage/tablespace.h"
+#include "storage/vfs.h"
 
 namespace htg::storage {
 namespace {
@@ -129,12 +132,20 @@ BENCHMARK(BM_PageCycle)
     ->Args({1, 1})
     ->Args({2, 1});
 
-// Insert+scan throughput of a heap table per compression mode.
+// Insert+scan throughput of a heap table per compression mode, on a
+// default-sized buffer pool as Database::CreateTable builds it.
 void BM_HeapInsertScan(benchmark::State& state) {
   const Compression mode = static_cast<Compression>(state.range(0));
   const std::vector<Row> rows = MakeRows(2000, true);
+  BufferPool pool;
+  const std::unique_ptr<TableSpace> space = bench::CheckOk(
+      TableSpace::Open(Vfs::Default(), "/tmp/htg_bench_ablation_compression",
+                       &pool),
+      "TableSpace::Open");
   for (auto _ : state) {
-    HeapTable table(ReadSchema(), mode);
+    HeapTable table(ReadSchema(), mode,
+                    bench::CheckOk(space->CreateTableFile("heap"),
+                                   "CreateTableFile"));
     for (const Row& r : rows) bench::CheckOk(table.Insert(r), "Insert");
     auto iter = table.NewScan();
     RowBatch batch;

@@ -45,10 +45,6 @@ int64_t CountRows(sql::SqlEngine* engine, const std::string& table) {
 void RunBufferPoolSweep(Database* db, sql::SqlEngine* engine,
                         const Lane& lane, const LaneConfig& config) {
   storage::BufferPool* pool = db->buffer_pool();
-  if (pool == nullptr) {
-    printf("\nbuffer pool disabled; skipping cold/warm sweep\n");
-    return;
-  }
   printf("\n== Buffer pool: cold vs warm scans of Read_n ==\n");
   BenchReport report("bufferpool");
   report.SetConfig("scale", Scale());

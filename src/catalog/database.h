@@ -24,12 +24,9 @@ struct DatabaseOptions {
   // Durability knobs for the BLOB store (Vfs seam, retry policy, read
   // verification). Tests inject a FaultInjectingVfs here.
   storage::FileStreamOptions filestream_options;
-  // Route table pages and BLOB chunk reads through one shared buffer
-  // pool (with spill files under "<filestream_root>/tablespace"). Off
-  // reverts every table to the fully in-memory storage mode — the
-  // ablation knob for cache-effect measurements.
-  bool enable_buffer_pool = true;
-  // Pool capacity in bytes; 0 = HTG_BUFFER_POOL_MB (default 64 MiB).
+  // Capacity in bytes of the buffer pool that caches table pages and
+  // BLOB chunk reads (spill files under "<filestream_root>/tablespace");
+  // 0 = HTG_BUFFER_POOL_MB (default 64 MiB).
   size_t buffer_pool_bytes = 0;
   // Degree of parallelism for eligible query plans (SQL Server's MAXDOP).
   int max_dop = 4;
@@ -49,17 +46,11 @@ struct DatabaseOptions {
   //   >0 = that many bytes
   int64_t query_mem_bytes = -1;
   // Let over-budget operators degrade to disk spill runs through the
-  // tablespace instead of failing. Off (or no buffer pool/tablespace):
-  // over-budget statements fail with kResourceExhausted. HTG_SPILL=0
-  // disables it from the environment.
+  // tablespace instead of failing. Off: over-budget statements fail with
+  // kResourceExhausted. HTG_SPILL=0 disables it from the environment.
   bool enable_spill = true;
   // Fan-out of one partition-spill pass in hash aggregate / hash join.
   size_t spill_partitions = 16;
-  // Snapshot-isolation MVCC: statements read a consistent snapshot
-  // (heap row-count watermarks, clustered txn stamps) and the server
-  // accepts multi-statement BEGIN/COMMIT/ABORT. HTG_MVCC=0 disables it
-  // from the environment and reverts to lock-only visibility.
-  bool enable_mvcc = true;
   // Completed (committed + aborted) transactions between opportunistic
   // version-GC sweeps. -1 = HTG_MVCC_GC_EVERY (default 16); 0 disables
   // the automatic sweep (SweepVersions can still be called directly).
@@ -72,15 +63,15 @@ struct DatabaseOptions {
   size_t ResolvedQueryMemBytes() const;
   // enable_spill combined with the HTG_SPILL environment override.
   bool ResolvedSpillEnabled() const;
-  // enable_mvcc combined with the HTG_MVCC environment override.
-  bool ResolvedMvccEnabled() const;
   // mvcc_gc_every with the -1 = environment default applied.
   uint64_t ResolvedMvccGcEvery() const;
 };
 
 // The top-level engine object: catalog of tables, the function registry
 // (built-ins plus any registered extension assemblies, e.g. the genomics
-// library), and the FileStream BLOB store.
+// library), the FileStream BLOB store, and the buffer pool + tablespace
+// every table's pages live in. Statements read snapshot-isolation MVCC
+// snapshots (heap row-count watermarks, clustered txn stamps).
 class Database {
  public:
   static Result<std::unique_ptr<Database>> Open(const std::string& name,
@@ -94,11 +85,8 @@ class Database {
   udf::FunctionRegistry* functions() { return &functions_; }
   const udf::FunctionRegistry* functions() const { return &functions_; }
   storage::FileStreamStore* filestream() { return filestream_.get(); }
-  // Null when options.enable_buffer_pool is false.
   storage::BufferPool* buffer_pool() { return buffer_pool_.get(); }
-  // Spill-file space for out-of-core operators; null when the buffer
-  // pool is disabled (no tablespace -> no spilling, budget errors
-  // instead).
+  // Table page files and spill files for out-of-core operators.
   storage::TableSpace* tablespace() { return tablespace_.get(); }
 
   // DDL -----------------------------------------------------------------
@@ -109,7 +97,8 @@ class Database {
   // in-flight statements (exclusive table + catalog locks).
 
   // Creates a table; `def.table` is instantiated here (heap, or clustered
-  // when def.clustered_key is non-empty).
+  // when def.clustered_key is non-empty) over a new tablespace file, and
+  // `def.mvcc` with it.
   Status CreateTable(catalog::TableDef def);
   Status DropTable(const std::string& name);
 
@@ -136,8 +125,6 @@ class Database {
 
   // MVCC ----------------------------------------------------------------
 
-  // Resolved enable_mvcc, cached at Open.
-  bool mvcc_enabled() const { return mvcc_enabled_; }
   storage::TxnManager* txns() { return &txn_manager_; }
 
   // Opportunistic version GC: once ResolvedMvccGcEvery() transactions
@@ -164,8 +151,7 @@ class Database {
   udf::FunctionRegistry functions_;
   std::unique_ptr<storage::FileStreamStore> filestream_;
   storage::TxnManager txn_manager_;
-  bool mvcc_enabled_ = true;        // resolved once at Open
-  uint64_t mvcc_gc_every_ = 16;     // resolved once at Open
+  uint64_t mvcc_gc_every_ = 16;  // resolved once at Open
   std::atomic<uint64_t> gc_pending_{0};
 };
 

@@ -602,14 +602,30 @@ Result<OperatorPtr> Binder::BindSelect(const SelectStmt& stmt) {
     CollectCalls(*db_->functions(), *o.expr, &agg_calls, &window_calls);
   }
 
-  const bool has_agg = !agg_calls.empty() || !stmt.group_by.empty();
+  // SELECT DISTINCT with no GROUP BY, aggregate or window call is GROUP BY
+  // over the select list: it binds through the same aggregate planning, so
+  // it gets the parallel plan wherever GROUP BY would.
+  std::vector<const AstExpr*> group_by;
+  for (const AstExprPtr& g : stmt.group_by) group_by.push_back(g.get());
+  const bool distinct_as_group =
+      stmt.distinct && group_by.empty() && agg_calls.empty() &&
+      window_calls.empty() &&
+      std::none_of(stmt.items.begin(), stmt.items.end(),
+                   [](const SelectItem& item) { return item.star; });
+  if (distinct_as_group) {
+    for (const SelectItem& item : stmt.items) {
+      group_by.push_back(item.expr.get());
+    }
+  }
+
+  const bool has_agg = !agg_calls.empty() || !group_by.empty();
   AggScope agg_scope;
 
   if (has_agg) {
     // Bind GROUP BY expressions and aggregate arguments over the input.
     std::vector<ExprPtr> group_exprs;
     std::vector<std::string> group_names;
-    for (const AstExprPtr& g : stmt.group_by) {
+    for (const AstExpr* g : group_by) {
       HTG_ASSIGN_OR_RETURN(ExprPtr e, BindExpr(*g, pre_ctx));
       group_exprs.push_back(std::move(e));
       agg_scope.group_texts.push_back(g->ToText());
@@ -814,9 +830,9 @@ Result<OperatorPtr> Binder::BindSelect(const SelectStmt& stmt) {
   }
   plan = std::make_unique<exec::ProjectOp>(std::move(plan),
                                            std::move(proj_exprs), proj_names);
-  if (stmt.distinct) {
-    // DISTINCT is a hash aggregate grouping by every projected column,
-    // with no aggregates: Value equality, the group table's spill.
+  if (stmt.distinct && !distinct_as_group) {
+    // DISTINCT over an aggregate or window result is a hash aggregate
+    // grouping by every projected column, with no aggregates.
     std::vector<ExprPtr> keys;
     for (size_t i = 0; i < proj_names.size(); ++i) {
       const Column& col = plan->output_schema().column(static_cast<int>(i));

@@ -251,7 +251,7 @@ Result<QueryResult> SqlEngine::ExecuteStatement(const Statement& stmt,
       table->table->Truncate();
       // Version history restarts from zero rows; the server's exclusive
       // schema lock guarantees no snapshot scan is mid-flight here.
-      if (table->mvcc != nullptr) table->mvcc->ResetForTruncate();
+      table->mvcc->ResetForTruncate();
       QueryResult result;
       result.message = "TRUNCATE TABLE " + stmt.table_name;
       return result;
@@ -276,7 +276,7 @@ Result<QueryResult> SqlEngine::ExecuteSelect(const SelectStmt& stmt,
   if (opts.txn != nullptr) {
     ctx.snapshot = &opts.txn->snapshot;
     ctx.txn_id = opts.txn->id;
-  } else if (db_->mvcc_enabled()) {
+  } else {
     storage::TxnManager::BeginResult pin = db_->txns()->Begin();
     pinned_snapshot = std::move(pin.snapshot);
     pinned_id = pin.id;
@@ -370,11 +370,7 @@ void RecordWrite(TxnContext* txn, catalog::TableDef* table, uint64_t rows) {
 
 }  // namespace
 
-Result<std::unique_ptr<TxnContext>> SqlEngine::BeginTxn() {
-  if (!db_->mvcc_enabled()) {
-    return Status::InvalidArgument(
-        "transactions require MVCC (HTG_MVCC=0 disables them)");
-  }
+std::unique_ptr<TxnContext> SqlEngine::BeginTxn() {
   auto txn = std::make_unique<TxnContext>();
   storage::TxnManager::BeginResult begun = db_->txns()->Begin();
   txn->id = begun.id;
@@ -445,57 +441,56 @@ Result<QueryResult> SqlEngine::ExecuteInsert(const InsertStmt& stmt,
   // Transaction setup. Three modes:
   //  * explicit   — opts.txn: first-writer-wins check, writes recorded for
   //                 the session's later COMMIT/ABORT.
-  //  * implicit   — MVCC on, no opts.txn: a per-statement transaction so
+  //  * implicit   — no opts.txn: a per-statement transaction so
   //                 concurrent snapshot readers never see a partial
   //                 statement; committed (or aborted) before returning.
-  //  * untracked  — MVCC off, or a hand-built TableDef without MVCC
-  //                 state: the legacy truncate-to-prior-rows undo.
+  //  * untracked  — BeginWrite refused an implicit txn because another
+  //                 untracked library-mode writer is mid-statement: the
+  //                 legacy truncate-to-prior-rows undo.
   TxnContext* txn = opts.txn;
   std::unique_ptr<TxnContext> implicit;
   bool tracked = false;
   auto* heap = dynamic_cast<storage::HeapTable*>(table->table.get());
-  if (table->mvcc != nullptr && db_->mvcc_enabled()) {
-    if (txn == nullptr) {
-      implicit = std::make_unique<TxnContext>();
-      storage::TxnManager::BeginResult begun = db_->txns()->Begin();
-      implicit->id = begun.id;
-      implicit->snapshot = std::move(begun.snapshot);
-      txn = implicit.get();
-    } else {
-      // First-writer-wins: another transaction committed this table after
-      // our snapshot was taken; appending behind it would interleave with
-      // writes this transaction cannot see. Typed kAborted so clients can
-      // retry the whole transaction.
-      const storage::TxnId last = table->mvcc->LastCommittedWriter();
-      if (last != storage::kFrozenTxn && last != txn->id &&
-          !txn->snapshot.Sees(last)) {
-        return Status::Aborted(
-            "write-write conflict: table " + table->name +
-            " was modified by a transaction concurrent with this one");
-      }
+  if (txn == nullptr) {
+    implicit = std::make_unique<TxnContext>();
+    storage::TxnManager::BeginResult begun = db_->txns()->Begin();
+    implicit->id = begun.id;
+    implicit->snapshot = std::move(begun.snapshot);
+    txn = implicit.get();
+  } else {
+    // First-writer-wins: another transaction committed this table after
+    // our snapshot was taken; appending behind it would interleave with
+    // writes this transaction cannot see. Typed kAborted so clients can
+    // retry the whole transaction.
+    const storage::TxnId last = table->mvcc->LastCommittedWriter();
+    if (last != storage::kFrozenTxn && last != txn->id &&
+        !txn->snapshot.Sees(last)) {
+      return Status::Aborted(
+          "write-write conflict: table " + table->name +
+          " was modified by a transaction concurrent with this one");
     }
-    const Status begun = table->mvcc->BeginWrite(txn->id,
-                                                 table->table->num_rows());
-    if (begun.ok()) {
-      tracked = true;
-      if (txn->is_explicit) {
-        // Record the table the moment it has a pending marker, not only on
-        // statement success: if this statement fails mid-way, the session's
-        // ABORT must still find the table to truncate its tail and clear
-        // the marker — an unrecorded pending writer would hide the table's
-        // tail from every snapshot forever.
-        RecordWrite(txn, table, 0);
-      }
-    } else if (txn->is_explicit) {
-      return begun;  // impossible under the server's write locks
-    } else {
-      // Library-mode race: another untracked writer is mid-statement on
-      // this table. Release the unused txn and fall back to the legacy
-      // (unversioned) insert path.
-      db_->txns()->Commit(implicit->id);
-      implicit.reset();
-      txn = nullptr;
+  }
+  const Status begun =
+      table->mvcc->BeginWrite(txn->id, table->table->num_rows());
+  if (begun.ok()) {
+    tracked = true;
+    if (txn->is_explicit) {
+      // Record the table the moment it has a pending marker, not only on
+      // statement success: if this statement fails mid-way, the session's
+      // ABORT must still find the table to truncate its tail and clear
+      // the marker — an unrecorded pending writer would hide the table's
+      // tail from every snapshot forever.
+      RecordWrite(txn, table, 0);
     }
+  } else if (txn->is_explicit) {
+    return begun;  // impossible under the server's write locks
+  } else {
+    // Library-mode race: another untracked writer is mid-statement on
+    // this table. Release the unused txn and fall back to the legacy
+    // (unversioned) insert path.
+    db_->txns()->Commit(implicit->id);
+    implicit.reset();
+    txn = nullptr;
   }
   const storage::TxnId stamp =
       tracked ? txn->id : storage::kFrozenTxn;

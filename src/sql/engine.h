@@ -119,8 +119,8 @@ class SqlEngine {
 
   // Transactions ---------------------------------------------------------
   // Starts an explicit multi-statement transaction: allocates a txn id
-  // and takes its snapshot. Fails when MVCC is disabled (HTG_MVCC=0).
-  Result<std::unique_ptr<TxnContext>> BeginTxn();
+  // and takes its snapshot.
+  std::unique_ptr<TxnContext> BeginTxn();
   // Publishes every written table's watermark, then marks the txn
   // committed — its writes become visible to new snapshots atomically.
   Status CommitTxn(TxnContext* txn);

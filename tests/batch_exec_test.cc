@@ -2,7 +2,9 @@
 // computed in C++ from the seeded data, and SQL must return exactly those
 // rows under every execution configuration — batch_rows 1/7/1024 × DOP 1
 // and DOP 8 (parallel_threshold 1 forces the exchange in) — at 0 rows and
-// at row counts straddling the 1024-row batch boundary. Covers scan,
+// at row counts straddling the 1024-row batch boundary, plus DOP 1 and 8
+// over a buffer pool a fraction of the tables' bytes, so every query
+// reads evicted pages back from the spill files. Covers scan,
 // filter (short-circuit AND guarding a division), Compute Scalar (CASE /
 // IS NULL / LIKE), hash and global aggregates, DISTINCT, sort, TOP,
 // ROW_NUMBER, inner and left-outer hash joins and CROSS APPLY over the
@@ -438,10 +440,12 @@ class BatchExecTest : public ::testing::Test {
   };
 
   static Instance Make(size_t batch_rows, int max_dop = 0,
-                       uint64_t parallel_threshold = 0) {
+                       uint64_t parallel_threshold = 0,
+                       size_t buffer_pool_bytes = 0) {
     static int counter = 0;
     DatabaseOptions options;
     options.batch_rows = batch_rows;
+    options.buffer_pool_bytes = buffer_pool_bytes;
     if (max_dop > 0) options.max_dop = max_dop;
     if (parallel_threshold > 0) options.parallel_threshold = parallel_threshold;
     options.filestream_root =
@@ -479,15 +483,17 @@ class BatchExecTest : public ::testing::Test {
   }
 };
 
-// batch_rows × DOP × seeded row count.
-class BatchOracleTest
-    : public BatchExecTest,
-      public ::testing::WithParamInterface<std::tuple<size_t, int, int>> {};
+// batch_rows × DOP × seeded row count × buffer-pool bytes (0 = default).
+using OracleConfig = std::tuple<size_t, int, int, size_t>;
+
+class BatchOracleTest : public BatchExecTest,
+                        public ::testing::WithParamInterface<OracleConfig> {};
 
 TEST_P(BatchOracleTest, EveryQueryMatchesOracle) {
-  const auto [batch_rows, dop, n] = GetParam();
-  Instance in = dop > 1 ? Make(batch_rows, dop, /*parallel_threshold=*/1)
-                        : Make(batch_rows, /*max_dop=*/1);
+  const auto [batch_rows, dop, n, pool_bytes] = GetParam();
+  const uint64_t evictions = HTG_METRIC_COUNTER("bufferpool.evict")->Value();
+  Instance in = Make(batch_rows, dop, /*parallel_threshold=*/dop > 1 ? 1 : 0,
+                     pool_bytes);
   Data data{MakeT(n), MakeU(), MakeAligned(n)};
   SeedT(in, n);
   Load(in, "CREATE TABLE u (k BIGINT, w VARCHAR(10))", "u", data.u);
@@ -501,6 +507,10 @@ TEST_P(BatchOracleTest, EveryQueryMatchesOracle) {
         Exec(in, "EXPLAIN SELECT a, COUNT(*), SUM(c) FROM t GROUP BY a")
             .message;
     EXPECT_NE(plan.find("Parallelism"), std::string::npos) << plan;
+    // So does DISTINCT, planned as GROUP BY over its select list.
+    const std::string distinct =
+        Exec(in, "EXPLAIN SELECT DISTINCT a FROM t").message;
+    EXPECT_NE(distinct.find("Parallelism"), std::string::npos) << distinct;
   }
   for (const OracleQuery& q : Queries()) {
     const Rows want = q.expect(data);
@@ -514,18 +524,37 @@ TEST_P(BatchOracleTest, EveryQueryMatchesOracle) {
           << q.sql << "\n" << Render(have);
     }
   }
+  if (pool_bytes > 0) {
+    // The small pool really evicted: the queries above re-read pages.
+    EXPECT_GT(HTG_METRIC_COUNTER("bufferpool.evict")->Value(), evictions);
+  }
+}
+
+std::string OracleConfigName(
+    const ::testing::TestParamInfo<OracleConfig>& info) {
+  const auto [batch_rows, dop, n, pool_bytes] = info.param;
+  std::string name = "batch" + std::to_string(batch_rows) + "_dop" +
+                     std::to_string(dop) + "_rows" + std::to_string(n);
+  if (pool_bytes > 0) name += "_pool" + std::to_string(pool_bytes >> 10) + "k";
+  return name;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Configs, BatchOracleTest,
     ::testing::Combine(::testing::Values<size_t>(1, 7, 1024),
                        ::testing::Values(1, 8),
-                       ::testing::Values(0, 1023, 1024, 1025)),
-    [](const ::testing::TestParamInfo<std::tuple<size_t, int, int>>& info) {
-      return "batch" + std::to_string(std::get<0>(info.param)) + "_dop" +
-             std::to_string(std::get<1>(info.param)) + "_rows" +
-             std::to_string(std::get<2>(info.param));
-    });
+                       ::testing::Values(0, 1023, 1024, 1025),
+                       ::testing::Values<size_t>(0)),
+    OracleConfigName);
+
+// A 16 KiB pool holds two ~8 KiB heap pages, a fraction of t, u and
+// aligned at 1025 rows, so scans evict and re-read as they go.
+INSTANTIATE_TEST_SUITE_P(
+    SmallPool, BatchOracleTest,
+    ::testing::Combine(::testing::Values<size_t>(7, 1024),
+                       ::testing::Values(1, 8), ::testing::Values(1025),
+                       ::testing::Values<size_t>(16 << 10)),
+    OracleConfigName);
 
 TEST_F(BatchExecTest, HashJoinProbesFilteredBatches) {
   // SQL puts a Compute Scalar or the WHERE filter above a join, so only an

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <vector>
 
 #include "genomics/register.h"
 #include "sql/engine.h"
@@ -307,6 +309,33 @@ TEST_F(RobustnessTest, SelectDistinctDedupesByValueNotText) {
     ASSERT_TRUE(db_->InsertRow(*blobs, Row{Value::Blob(bytes)}).ok());
   }
   EXPECT_EQ(Exec("SELECT DISTINCT v FROM b").rows.size(), 2u);
+}
+
+// SELECT DISTINCT with no aggregate plans as GROUP BY over the select
+// list, so a large heap gets the same parallel aggregate GROUP BY does.
+TEST_F(RobustnessTest, SelectDistinctGetsParallelGroupByPlan) {
+  db_->set_max_dop(4);
+  Exec("CREATE TABLE big (a INT, b INT)");
+  Result<catalog::TableDef*> big = db_->GetTable("big");
+  ASSERT_TRUE(big.ok());
+  for (int i = 0; i < 12000; ++i) {
+    ASSERT_TRUE(
+        db_->InsertRow(*big, Row{Value::Int32(i % 37), Value::Int32(i)}).ok());
+  }
+  Result<std::string> plan = engine_->Explain("SELECT DISTINCT a FROM big");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_NE(plan->find("Parallelism"), std::string::npos) << *plan;
+
+  const auto sorted_keys = [&](const std::string& sql) {
+    std::vector<int64_t> keys;
+    for (const Row& row : Exec(sql).rows) keys.push_back(row[0].AsInt64());
+    std::sort(keys.begin(), keys.end());
+    return keys;
+  };
+  const std::vector<int64_t> distinct =
+      sorted_keys("SELECT DISTINCT a FROM big");
+  EXPECT_EQ(distinct.size(), 37u);
+  EXPECT_EQ(distinct, sorted_keys("SELECT a FROM big GROUP BY a"));
 }
 
 }  // namespace

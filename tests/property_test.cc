@@ -19,6 +19,7 @@
 #include "storage/heap_table.h"
 #include "storage/page.h"
 #include "storage/row_codec.h"
+#include "test_tablespace.h"
 
 namespace htg {
 namespace {
@@ -338,7 +339,9 @@ TEST(HeapTableProperty, ScanReturnsInsertionOrderAtAnyPageSize) {
     Schema schema;
     schema.AddColumn({.name = "i", .type = DataType::kInt64});
     schema.AddColumn({.name = "s", .type = DataType::kString});
-    storage::HeapTable table(schema, Compression::kRow, page_size);
+    testutil::TestTableSpace space("/tmp/htg_property_test_heap");
+    storage::HeapTable table(schema, Compression::kRow, space.NewFile("t"),
+                             page_size);
     const int n = 777;
     for (int i = 0; i < n; ++i) {
       ASSERT_TRUE(

@@ -167,8 +167,13 @@ TEST(LockFootprintTest, DerivedFromAst) {
   EXPECT_TRUE(fp.has_writes);
   ASSERT_EQ(fp.writes.size(), 1u);
   EXPECT_EQ(fp.writes[0], "DST");
-  // src + other + the shared catalog pseudo-lock.
-  EXPECT_EQ(fp.reads.size(), 3u);
+  // DST's schema lock shared (the writer keeps its table alive), then
+  // schema-stability locks on the scanned SRC and OTHER in place of table
+  // read locks, then the shared catalog pseudo-lock.
+  const std::vector<std::string> expected_reads = {
+      std::string("\x02") + "DST", std::string("\x02") + "SRC",
+      std::string("\x02") + "OTHER", std::string("\x01") + "catalog"};
+  EXPECT_EQ(fp.reads, expected_reads);
 }
 
 // --------------------------------------------------------- conversations

@@ -3,6 +3,7 @@
 #include <filesystem>
 #include <map>
 
+#include "common/metrics.h"
 #include "common/random.h"
 #include "exec/operator.h"
 #include "storage/bplus_tree.h"
@@ -12,9 +13,21 @@
 #include "storage/page.h"
 #include "storage/row_codec.h"
 #include "storage/transaction.h"
+#include "test_tablespace.h"
 
 namespace htg::storage {
 namespace {
+
+using testutil::TestTableSpace;
+
+// Spill directory for one test's private TableSpace.
+std::string SpaceRoot(const std::string& test) {
+  return "/tmp/htg_storage_test_" + test;
+}
+
+uint64_t CounterValue(const char* name) {
+  return obs::MetricsRegistry::Global().GetCounter(name)->Value();
+}
 
 Schema TestSchema() {
   Schema schema;
@@ -213,7 +226,8 @@ TEST(PageCompressionTest, UniqueValuesGainLittle) {
 }
 
 TEST(HeapTableTest, InsertScanRoundTrip) {
-  HeapTable table(TestSchema(), Compression::kRow, 1024);
+  TestTableSpace space(SpaceRoot("heap_roundtrip"));
+  HeapTable table(TestSchema(), Compression::kRow, space.NewFile("t"), 1024);
   for (int i = 0; i < 500; ++i) {
     ASSERT_TRUE(table.Insert(TestRow(i)).ok());
   }
@@ -231,7 +245,8 @@ TEST(HeapTableTest, InsertScanRoundTrip) {
 }
 
 TEST(HeapTableTest, RangeScansPartitionCompletely) {
-  HeapTable table(TestSchema(), Compression::kNone, 512);
+  TestTableSpace space(SpaceRoot("heap_ranges"));
+  HeapTable table(TestSchema(), Compression::kNone, space.NewFile("t"), 512);
   for (int i = 0; i < 300; ++i) ASSERT_TRUE(table.Insert(TestRow(i)).ok());
   ASSERT_TRUE(table.SealCurrentPage().ok());
   const size_t pages = table.num_pages_sealed();
@@ -248,7 +263,8 @@ TEST(HeapTableTest, RangeScansPartitionCompletely) {
 }
 
 TEST(HeapTableTest, TruncateToRowsUndoesAppends) {
-  HeapTable table(TestSchema(), Compression::kRow, 512);
+  TestTableSpace space(SpaceRoot("heap_truncate_rows"));
+  HeapTable table(TestSchema(), Compression::kRow, space.NewFile("t"), 512);
   for (int i = 0; i < 100; ++i) ASSERT_TRUE(table.Insert(TestRow(i)).ok());
   for (int i = 100; i < 177; ++i) ASSERT_TRUE(table.Insert(TestRow(i)).ok());
   ASSERT_TRUE(table.TruncateToRows(100).ok());
@@ -265,7 +281,8 @@ TEST(HeapTableTest, TruncateToRowsUndoesAppends) {
 }
 
 TEST(HeapTableTest, TruncateClearsAll) {
-  HeapTable table(TestSchema(), Compression::kNone);
+  TestTableSpace space(SpaceRoot("heap_truncate_all"));
+  HeapTable table(TestSchema(), Compression::kNone, space.NewFile("t"));
   for (int i = 0; i < 10; ++i) ASSERT_TRUE(table.Insert(TestRow(i)).ok());
   table.Truncate();
   EXPECT_EQ(table.num_rows(), 0u);
@@ -353,7 +370,8 @@ TEST(ClusteredTableTest, ScanInKeyOrder) {
   schema.AddColumn({.name = "chr", .type = DataType::kInt32});
   schema.AddColumn({.name = "pos", .type = DataType::kInt64});
   schema.AddColumn({.name = "payload", .type = DataType::kString});
-  ClusteredTable table(schema, {0, 1}, Compression::kRow);
+  TestTableSpace space(SpaceRoot("clustered_order"));
+  ClusteredTable table(schema, {0, 1}, Compression::kRow, space.NewFile("t"));
   Random rng(9);
   for (int i = 0; i < 500; ++i) {
     ASSERT_TRUE(table
@@ -383,7 +401,8 @@ TEST(ClusteredTableTest, ScanFromSeeksPrefix) {
   Schema schema;
   schema.AddColumn({.name = "k", .type = DataType::kInt64});
   schema.AddColumn({.name = "v", .type = DataType::kString});
-  ClusteredTable table(schema, {0}, Compression::kNone);
+  TestTableSpace space(SpaceRoot("clustered_seek"));
+  ClusteredTable table(schema, {0}, Compression::kNone, space.NewFile("t"));
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(table.Insert(Row{Value::Int64(i), Value::String("x")}).ok());
   }
@@ -397,6 +416,84 @@ TEST(ClusteredTableTest, ScanFromSeeksPrefix) {
     ++count;
   }
   EXPECT_EQ(count, 10);
+}
+
+// A pool far smaller than the tables: sealed pages are written back and
+// evicted while the tables load, so both scans and the partial-page undo
+// read their pages back from the spill files.
+TEST(PooledTableTest, EvictedPagesReadBackThroughScansAndUndo) {
+  TestTableSpace space(SpaceRoot("evicting"), 16 * 1024);
+  const uint64_t evictions = CounterValue("bufferpool.evict");
+
+  HeapTable heap(TestSchema(), Compression::kRow, space.NewFile("heap"), 1024);
+  constexpr int kHeapRows = 2000;
+  for (int i = 0; i < kHeapRows; ++i) {
+    ASSERT_TRUE(heap.Insert(TestRow(i)).ok());
+  }
+  ASSERT_TRUE(heap.SealCurrentPage().ok());
+  ASSERT_GT(heap.num_pages_sealed(), 40u);
+
+  Schema schema;
+  schema.AddColumn({.name = "k", .type = DataType::kInt64});
+  schema.AddColumn({.name = "seq", .type = DataType::kString});
+  ClusteredTable clustered(schema, {0}, Compression::kRow,
+                           space.NewFile("clustered"));
+  // Keys arrive shuffled, so a key-order scan hops between leaf pages.
+  constexpr int kClusteredRows = 3000;
+  std::vector<int64_t> keys(kClusteredRows);
+  for (int i = 0; i < kClusteredRows; ++i) keys[i] = i;
+  Random rng(17);
+  for (int i = kClusteredRows - 1; i > 0; --i) {
+    std::swap(keys[i], keys[rng.Uniform(static_cast<uint64_t>(i) + 1)]);
+  }
+  for (int64_t k : keys) {
+    ASSERT_TRUE(clustered
+                    .Insert(Row{Value::Int64(k),
+                                Value::String("ACGTACGTACGT" +
+                                              std::to_string(k))})
+                    .ok());
+  }
+  EXPECT_GT(CounterValue("bufferpool.evict"), evictions);
+
+  uint64_t misses = CounterValue("bufferpool.miss");
+  std::vector<Row> rows;
+  ASSERT_TRUE(exec::DrainIterator(heap.NewScan().get(), &rows).ok());
+  ASSERT_EQ(rows.size(), static_cast<size_t>(kHeapRows));
+  for (int i = 0; i < kHeapRows; ++i) ASSERT_EQ(rows[i][0].AsInt64(), i);
+  EXPECT_GT(CounterValue("bufferpool.miss"), misses);
+
+  misses = CounterValue("bufferpool.miss");
+  rows.clear();
+  ASSERT_TRUE(exec::DrainIterator(clustered.NewScan().get(), &rows).ok());
+  ASSERT_EQ(rows.size(), static_cast<size_t>(kClusteredRows));
+  for (int i = 0; i < kClusteredRows; ++i) {
+    ASSERT_EQ(rows[i][0].AsInt64(), i);
+    ASSERT_EQ(rows[i][1].AsString(), "ACGTACGTACGT" + std::to_string(i));
+  }
+  EXPECT_GT(CounterValue("bufferpool.miss"), misses);
+
+  // Undo to a cut inside an early heap page, long since evicted: the
+  // surviving prefix of that page must be re-read from the spill file.
+  const uint64_t target = kHeapRows / 4 + 3;
+  auto plan = heap.PlanVisiblePrefix(target);
+  ASSERT_TRUE(plan.ok());
+  ASSERT_NE(plan->tail_rows, 0u) << "cut must fall inside a page";
+  misses = CounterValue("bufferpool.miss");
+  ASSERT_TRUE(heap.TruncateToRows(target).ok());
+  EXPECT_GT(CounterValue("bufferpool.miss"), misses);
+  EXPECT_EQ(heap.num_rows(), target);
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(heap.Insert(TestRow(kHeapRows + i)).ok());
+  }
+  rows.clear();
+  ASSERT_TRUE(exec::DrainIterator(heap.NewScan().get(), &rows).ok());
+  ASSERT_EQ(rows.size(), target + 10);
+  for (uint64_t i = 0; i < target; ++i) {
+    ASSERT_EQ(rows[i][0].AsInt64(), static_cast<int64_t>(i));
+  }
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(rows[target + i][0].AsInt64(), kHeapRows + i);
+  }
 }
 
 TEST(FileStreamTest, CreateReadDelete) {

@@ -3,8 +3,7 @@
 // first-writer-wins conflicts, rollback of heap and clustered tables,
 // version GC), and full wire conversations — readers not blocking behind
 // an open bulk-load transaction, auto-abort on statement failure with
-// the session surviving, implicit abort on client disconnect, and the
-// typed rejection of BEGIN when MVCC is disabled.
+// the session surviving, and implicit abort on client disconnect.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +23,7 @@
 #include "sql/parser.h"
 #include "storage/clustered_table.h"
 #include "storage/mvcc.h"
+#include "test_tablespace.h"
 
 namespace htg {
 namespace {
@@ -153,7 +153,9 @@ TEST(ClusteredSweepTest, SweepRemovesAbortedStampsWithoutDeadRowAccounting) {
   Schema schema;
   schema.AddColumn({.name = "k", .type = DataType::kInt64});
   schema.AddColumn({.name = "v", .type = DataType::kString});
-  storage::ClusteredTable table(schema, {0}, storage::Compression::kNone);
+  testutil::TestTableSpace space("/tmp/htg_txn_test_sweep");
+  storage::ClusteredTable table(schema, {0}, storage::Compression::kNone,
+                                space.NewFile("t"));
   ASSERT_TRUE(table.Insert(Row{Value::Int64(1), Value::String("keep")}).ok());
   // An entry stamped by an aborted txn whose MarkAborted accounting was
   // lost: dead_rows_ is zero, yet the sweep must still remove it — the
@@ -233,13 +235,12 @@ TEST_F(TxnEngineTest, SnapshotReaderSeesNoneOfOpenTxnsRows) {
   Exec("CREATE TABLE t (id INT, v INT)");
   Exec("INSERT INTO t VALUES (1, 10), (2, 20)");
   auto txn = engine_->BeginTxn();
-  ASSERT_TRUE(txn.ok()) << txn.status().ToString();
-  Exec("INSERT INTO t VALUES (3, 30)", txn->get());
-  Exec("INSERT INTO t VALUES (4, 40)", txn->get());
+  Exec("INSERT INTO t VALUES (3, 30)", txn.get());
+  Exec("INSERT INTO t VALUES (4, 40)", txn.get());
   // Autocommit reader: pre-transaction state. The writer: all its rows.
   EXPECT_EQ(Count("t"), 2);
-  EXPECT_EQ(Count("t", txn->get()), 4);
-  ASSERT_TRUE(engine_->CommitTxn(txn->get()).ok());
+  EXPECT_EQ(Count("t", txn.get()), 4);
+  ASSERT_TRUE(engine_->CommitTxn(txn.get()).ok());
   EXPECT_EQ(Count("t"), 4);
 }
 
@@ -247,15 +248,13 @@ TEST_F(TxnEngineTest, SnapshotTakenBeforeCommitStaysConsistent) {
   Exec("CREATE TABLE t (id INT, v INT)");
   Exec("INSERT INTO t VALUES (1, 10)");
   auto reader = engine_->BeginTxn();
-  ASSERT_TRUE(reader.ok());
   auto writer = engine_->BeginTxn();
-  ASSERT_TRUE(writer.ok());
-  Exec("INSERT INTO t VALUES (2, 20)", writer->get());
-  ASSERT_TRUE(engine_->CommitTxn(writer->get()).ok());
+  Exec("INSERT INTO t VALUES (2, 20)", writer.get());
+  ASSERT_TRUE(engine_->CommitTxn(writer.get()).ok());
   // The reader's snapshot predates the writer's commit: repeatable reads.
-  EXPECT_EQ(Count("t", reader->get()), 1);
+  EXPECT_EQ(Count("t", reader.get()), 1);
   EXPECT_EQ(Count("t"), 2);
-  ASSERT_TRUE(engine_->CommitTxn(reader->get()).ok());
+  ASSERT_TRUE(engine_->CommitTxn(reader.get()).ok());
 }
 
 TEST_F(TxnEngineTest, AbortRollsBackHeapAndClusteredCounts) {
@@ -264,12 +263,11 @@ TEST_F(TxnEngineTest, AbortRollsBackHeapAndClusteredCounts) {
   Exec("INSERT INTO h VALUES (1, 10)");
   Exec("INSERT INTO c VALUES (1, 10)");
   auto txn = engine_->BeginTxn();
-  ASSERT_TRUE(txn.ok());
-  Exec("INSERT INTO h VALUES (2, 20), (3, 30)", txn->get());
-  Exec("INSERT INTO c VALUES (2, 20), (3, 30)", txn->get());
-  EXPECT_EQ(Count("h", txn->get()), 3);
-  EXPECT_EQ(Count("c", txn->get()), 3);
-  ASSERT_TRUE(engine_->AbortTxn(txn->get()).ok());
+  Exec("INSERT INTO h VALUES (2, 20), (3, 30)", txn.get());
+  Exec("INSERT INTO c VALUES (2, 20), (3, 30)", txn.get());
+  EXPECT_EQ(Count("h", txn.get()), 3);
+  EXPECT_EQ(Count("c", txn.get()), 3);
+  ASSERT_TRUE(engine_->AbortTxn(txn.get()).ok());
   EXPECT_EQ(Count("h"), 1);
   EXPECT_EQ(Count("c"), 1);
   // The tables stay writable after the rollback.
@@ -283,20 +281,19 @@ TEST_F(TxnEngineTest, FirstWriterWinsConflictIsTypedAborted) {
   Exec("CREATE TABLE t (id INT, v INT)");
   auto a = engine_->BeginTxn();
   auto b = engine_->BeginTxn();
-  ASSERT_TRUE(a.ok() && b.ok());
-  Exec("INSERT INTO t VALUES (1, 10)", a->get());
-  ASSERT_TRUE(engine_->CommitTxn(a->get()).ok());
+  Exec("INSERT INTO t VALUES (1, 10)", a.get());
+  ASSERT_TRUE(engine_->CommitTxn(a.get()).ok());
   // b's snapshot predates a's commit, and a wrote the same table: the
   // first writer won, b must abort rather than write blind.
   sql::StatementOptions opts;
-  opts.txn = b->get();
+  opts.txn = b.get();
   auto r = engine_->Execute("INSERT INTO t VALUES (2, 20)", opts);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kAborted);
   EXPECT_NE(r.status().message().find("write-write conflict"),
             std::string::npos)
       << r.status().ToString();
-  ASSERT_TRUE(engine_->AbortTxn(b->get()).ok());
+  ASSERT_TRUE(engine_->AbortTxn(b.get()).ok());
   EXPECT_EQ(Count("t"), 1);
 }
 
@@ -306,9 +303,8 @@ TEST_F(TxnEngineTest, MidStatementFailureInTxnRollsBackOnAbort) {
   Exec("INSERT INTO h VALUES (1, 10)");
   Exec("INSERT INTO c VALUES (1, 10)");
   auto txn = engine_->BeginTxn();
-  ASSERT_TRUE(txn.ok());
   sql::StatementOptions opts;
-  opts.txn = txn->get();
+  opts.txn = txn.get();
   // The second VALUES row has the wrong arity, so each statement fails
   // after its first row was already inserted — and it is the txn's first
   // (and only) write to that table. ABORT must still find the table,
@@ -317,16 +313,15 @@ TEST_F(TxnEngineTest, MidStatementFailureInTxnRollsBackOnAbort) {
   ASSERT_FALSE(h.ok());
   auto c = engine_->Execute("INSERT INTO c VALUES (2, 20), (3)", opts);
   ASSERT_FALSE(c.ok());
-  ASSERT_TRUE(engine_->AbortTxn(txn->get()).ok());
+  ASSERT_TRUE(engine_->AbortTxn(txn.get()).ok());
   EXPECT_EQ(Count("h"), 1);
   EXPECT_EQ(Count("c"), 1);
   // Both explicit-txn and autocommit writes work again afterwards (a
   // stuck pending marker would fail the former and hide the latter).
   auto txn2 = engine_->BeginTxn();
-  ASSERT_TRUE(txn2.ok());
-  Exec("INSERT INTO h VALUES (8, 80)", txn2->get());
-  Exec("INSERT INTO c VALUES (8, 80)", txn2->get());
-  ASSERT_TRUE(engine_->CommitTxn(txn2->get()).ok());
+  Exec("INSERT INTO h VALUES (8, 80)", txn2.get());
+  Exec("INSERT INTO c VALUES (8, 80)", txn2.get());
+  ASSERT_TRUE(engine_->CommitTxn(txn2.get()).ok());
   Exec("INSERT INTO h VALUES (9, 90)");
   Exec("INSERT INTO c VALUES (9, 90)");
   EXPECT_EQ(Count("h"), 3);
@@ -341,9 +336,8 @@ TEST_F(TxnEngineTest, GcSweepRemovesAbortedClusteredEntries) {
   Exec("CREATE TABLE c (id INT PRIMARY KEY, v INT)");
   Exec("INSERT INTO c VALUES (1, 10)");
   auto txn = engine_->BeginTxn();
-  ASSERT_TRUE(txn.ok());
-  Exec("INSERT INTO c VALUES (2, 20), (3, 30)", txn->get());
-  ASSERT_TRUE(engine_->AbortTxn(txn->get()).ok());
+  Exec("INSERT INTO c VALUES (2, 20), (3, 30)", txn.get());
+  ASSERT_TRUE(engine_->AbortTxn(txn.get()).ok());
   // The aborted entries are hidden logically; an unconditional sweep
   // removes them physically and retires the aborted id.
   EXPECT_EQ(db_->SweepVersions(), 2u);
@@ -355,25 +349,12 @@ TEST_F(TxnEngineTest, GcSweepRemovesAbortedClusteredEntries) {
 
 TEST_F(TxnEngineTest, DdlInsideTxnRejected) {
   auto txn = engine_->BeginTxn();
-  ASSERT_TRUE(txn.ok());
   sql::StatementOptions opts;
-  opts.txn = txn->get();
+  opts.txn = txn.get();
   auto r = engine_->Execute("CREATE TABLE t (id INT)", opts);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  ASSERT_TRUE(engine_->AbortTxn(txn->get()).ok());
-}
-
-TEST_F(TxnEngineTest, BeginTxnFailsWithMvccDisabled) {
-  DatabaseOptions options;
-  options.enable_mvcc = false;
-  options.filestream_root = "/tmp/htg_txn_test_nomvcc";
-  auto db = Database::Open("nomvcc", options);
-  ASSERT_TRUE(db.ok());
-  SqlEngine engine(db->get());
-  auto txn = engine.BeginTxn();
-  ASSERT_FALSE(txn.ok());
-  EXPECT_EQ(txn.status().code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(engine_->AbortTxn(txn.get()).ok());
 }
 
 // ------------------------------------------------------- lock footprints
@@ -382,7 +363,7 @@ TEST(TxnLockFootprintTest, MvccReadersTakeSchemaLocksNotTableLocks) {
   auto stmts = sql::ParseSql("SELECT * FROM t");
   ASSERT_TRUE(stmts.ok());
   const server::LockFootprint fp =
-      server::DeriveLockFootprint(*stmts, /*mvcc_snapshots=*/true);
+      server::DeriveLockFootprint(*stmts);
   EXPECT_TRUE(fp.writes.empty());
   // Schema-stability lock + catalog pseudo-lock; no plain "T" read lock,
   // which is exactly why a SELECT cannot block behind a bulk load.
@@ -394,7 +375,7 @@ TEST(TxnLockFootprintTest, MvccInsertHoldsTableExclusiveAndSchemaShared) {
   auto stmts = sql::ParseSql("INSERT INTO t VALUES (1)");
   ASSERT_TRUE(stmts.ok());
   const server::LockFootprint fp =
-      server::DeriveLockFootprint(*stmts, /*mvcc_snapshots=*/true);
+      server::DeriveLockFootprint(*stmts);
   ASSERT_EQ(fp.writes.size(), 1u);
   EXPECT_EQ(fp.writes[0], "T");
   ASSERT_EQ(fp.reads.size(), 2u);
@@ -405,7 +386,7 @@ TEST(TxnLockFootprintTest, MvccTruncateTakesSchemaExclusive) {
   auto stmts = sql::ParseSql("TRUNCATE TABLE t");
   ASSERT_TRUE(stmts.ok());
   const server::LockFootprint fp =
-      server::DeriveLockFootprint(*stmts, /*mvcc_snapshots=*/true);
+      server::DeriveLockFootprint(*stmts);
   // Table exclusive + schema exclusive: waits out snapshot scans.
   ASSERT_EQ(fp.writes.size(), 2u);
   EXPECT_EQ(fp.writes[0], "T");
@@ -572,21 +553,6 @@ TEST_F(TxnServerTest, DisconnectMidTxnAbortsAndReleasesLocks) {
   EXPECT_EQ(Count(survivor.get(), "t"), 1);
   Query(survivor.get(), "INSERT INTO t VALUES (3, 30)");
   EXPECT_EQ(Count(survivor.get(), "t"), 2);
-}
-
-TEST_F(TxnServerTest, BeginRejectedTypedWhenMvccDisabled) {
-  options_.enable_mvcc = false;
-  OpenAndStart();
-  std::unique_ptr<Client> c = Connect();
-  ASSERT_NE(c, nullptr);
-  const Status begin = c->Begin();
-  ASSERT_FALSE(begin.ok());
-  EXPECT_EQ(begin.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(begin.message().find("MVCC"), std::string::npos);
-  // Plain autocommit statements still work without MVCC.
-  Query(c.get(), "CREATE TABLE t (id INT)");
-  Query(c.get(), "INSERT INTO t VALUES (1)");
-  EXPECT_EQ(Count(c.get(), "t"), 1);
 }
 
 }  // namespace

@@ -41,6 +41,12 @@ Rules (ids usable in NOLINT suppressions):
                     or bench/ must appear in docs/OPERATIONS.md -- one
                     table holds every runtime knob, so a knob that exists
                     only in code is undocumented by definition.
+  env-doc-stale     The other direction: every row of the runtime-knob
+                    table in docs/OPERATIONS.md names an HTG_* variable
+                    that some file under src/ or bench/ reads as a quoted
+                    string -- a row for a knob the code no longer reads
+                    documents a setting that does nothing. The CMake
+                    options live in their own table and are exempt.
   sync-raw-mutex    No raw std::mutex / std::shared_mutex / lock_guard /
                     unique_lock / shared_lock / scoped_lock /
                     condition_variable outside
@@ -86,11 +92,12 @@ Rules (ids usable in NOLINT suppressions):
 Suppression: append `// NOLINT(htg-<rule>)` to the offending line (or a
 bare NOLINT comment, honoured for compatibility with clang-tidy). Lint
 fixtures under tests/lint/ are excluded from the tree scan and exercised by
-`--selftest`, which asserts every `// expect-lint: <rule>` annotation fires
-and nothing else does.
+`--selftest`, which asserts every `expect-lint: <rule>` annotation (after
+`//` in code, inside `<!-- -->` in markdown) fires and nothing else does.
 
 Usage:
-  htg_lint.py [ROOT]              lint ROOT/{src,bench,tests}  (default: cwd)
+  htg_lint.py [ROOT]              lint ROOT/{src,bench,tests} and
+                                  docs/OPERATIONS.md  (default: cwd)
   htg_lint.py --rule NAME [ROOT]  run only the named rule (repeatable)
   htg_lint.py --selftest [ROOT]   run the fixture self-test
   htg_lint.py --list-rules        print every rule with its one-line summary
@@ -614,6 +621,48 @@ def check_env_doc(path, text, rel):
     ]
 
 
+_code_env = None
+
+
+def code_env_vars():
+    """HTG_* names some file under src/ or bench/ reads as a quoted
+    string -- the same match env-doc applies."""
+    global _code_env
+    if _code_env is None:
+        _code_env = set()
+        for top in ("src", "bench"):
+            for dirpath, _, filenames in os.walk(os.path.join(LINT_ROOT, top)):
+                for name in filenames:
+                    if not name.endswith((".cc", ".h")):
+                        continue
+                    with open(os.path.join(dirpath, name), encoding="utf-8",
+                              errors="replace") as f:
+                        _code_env.update(ENV_VAR_RE.findall(f.read()))
+    return _code_env
+
+
+KNOB_SECTION = "## Runtime environment variables"
+KNOB_ROW_RE = re.compile(r"^\|\s*`(HTG_[A-Z0-9_]+)`\s*\|", re.M)
+
+
+def check_env_doc_stale(path, text, rel):
+    if not path.endswith(".md"):
+        return []
+    start = text.find(KNOB_SECTION)
+    if start < 0:
+        return []
+    end = text.find("\n## ", start + len(KNOB_SECTION))
+    section = text[start:end if end >= 0 else len(text)]
+    read = code_env_vars()
+    return [
+        Finding(path, line_of(text, start + m.start()), "env-doc-stale",
+                f"knob row `{m.group(1)}` names a variable no file under "
+                "src/ or bench/ reads; delete the row")
+        for m in KNOB_ROW_RE.finditer(section)
+        if m.group(1) not in read
+    ]
+
+
 # -------------------------------------------------------- sync rules ---
 
 # The one sanctioned home of raw std:: synchronization primitives.
@@ -746,6 +795,8 @@ RULES = {
         (check_exec_untracked_reserve, ("src",), False),
     # env-doc matches quoted knob names, so it needs unstripped text.
     "env-doc": (check_env_doc, ("src", "bench"), True),
+    # Reads the knob table of docs/OPERATIONS.md, backticks and all.
+    "env-doc-stale": (check_env_doc_stale, ("docs",), True),
     "sync-raw-mutex": (check_sync_raw_mutex, ("src",), False),
     "sync-unguarded-field": (check_sync_unguarded_field, ("src",), False),
     "sync-locked-suffix": (check_sync_locked_suffix, ("src",), False),
@@ -774,6 +825,8 @@ RULE_DESCRIPTIONS = {
     "exec-untracked-reserve": "data-proportional row buffers hold a "
                               "MemoryCharge",
     "env-doc": "every HTG_* env knob is documented in docs/OPERATIONS.md",
+    "env-doc-stale": "every runtime-knob row in docs/OPERATIONS.md is "
+                     "read by src/ or bench/",
     "sync-raw-mutex": "raw std:: sync primitives live only in "
                       "src/common/synchronization.{h,cc}",
     "sync-unguarded-field": "a Mutex member needs a sibling "
@@ -831,6 +884,7 @@ def lint_file(path, rel, rule_ids=None, all_scopes=False):
 
 
 def tree_files(root):
+    yield os.path.join(root, OPERATIONS_DOC), OPERATIONS_DOC
     for top in ("src", "bench", "tests"):
         base = os.path.join(root, top)
         for dirpath, dirnames, filenames in os.walk(base):
@@ -858,7 +912,7 @@ def run_lint(root, rule_ids=None):
     return 1 if findings else 0
 
 
-EXPECT_RE = re.compile(r"//\s*expect-lint:\s*([\w-]+)")
+EXPECT_RE = re.compile(r"(?://|<!--)\s*expect-lint:\s*([\w-]+)")
 
 
 def run_selftest(root):
@@ -867,7 +921,8 @@ def run_selftest(root):
     scopes here so fixtures can live in one directory."""
     fixture_dir = os.path.join(root, FIXTURE_DIR)
     fixtures = sorted(
-        f for f in os.listdir(fixture_dir) if f.endswith((".cc", ".h")))
+        f for f in os.listdir(fixture_dir)
+        if f.endswith((".cc", ".h", ".md")))
     if not fixtures:
         print(f"htg_lint --selftest: no fixtures in {fixture_dir}")
         return 1
