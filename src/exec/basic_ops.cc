@@ -135,8 +135,8 @@ TableScanOp::TableScanOp(catalog::TableDef* table, size_t first_page,
       first_page_(first_page),
       end_page_(end_page) {}
 
-TableScanOp::TableScanOp(catalog::TableDef* table, Row seek_prefix)
-    : table_(table), has_seek_(true), seek_prefix_(std::move(seek_prefix)) {}
+TableScanOp::TableScanOp(catalog::TableDef* table, storage::KeyRange range)
+    : table_(table), seek_(std::move(range)) {}
 
 Result<std::unique_ptr<storage::RowIterator>> TableScanOp::OpenImpl(
     ExecContext* ctx) {
@@ -146,45 +146,36 @@ Result<std::unique_ptr<storage::RowIterator>> TableScanOp::OpenImpl(
   // with a worker copy of the same context).
   const storage::Snapshot* snap =
       ctx != nullptr ? ctx->snapshot : nullptr;
+  if (auto* clustered =
+          dynamic_cast<storage::ClusteredTable*>(table_->table.get())) {
+    return clustered->NewRangeScan(
+        seek_.value_or(storage::KeyRange{}),
+        snap != nullptr ? *snap : storage::Snapshot{},
+        ctx != nullptr ? ctx->txn_id : storage::kFrozenTxn);
+  }
+  auto* heap = dynamic_cast<storage::HeapTable*>(table_->table.get());
+  if (heap == nullptr) {
+    return Status::Internal("scan of unknown table kind " + table_->name);
+  }
   if (snap != nullptr) {
-    if (auto* heap = dynamic_cast<storage::HeapTable*>(table_->table.get())) {
-      const uint64_t limit =
-          table_->mvcc->VisibleRows(*snap, ctx->txn_id, heap->num_rows());
-      HTG_ASSIGN_OR_RETURN(const storage::HeapTable::PrefixPlan plan,
-                           heap->PlanVisiblePrefix(limit));
-      size_t first = 0;
-      size_t end = plan.end_page;
-      if (has_range_) {
-        // Morsels past the visible prefix become empty scans.
-        first = first_page_;
-        if (end_page_ < end) {
-          // The morsel ends before the prefix does: no mid-page cap.
-          return {heap->NewScanRangeCapped(first, end_page_, 0)};
-        }
+    const uint64_t limit =
+        table_->mvcc->VisibleRows(*snap, ctx->txn_id, heap->num_rows());
+    HTG_ASSIGN_OR_RETURN(const storage::HeapTable::PrefixPlan plan,
+                         heap->PlanVisiblePrefix(limit));
+    size_t first = 0;
+    size_t end = plan.end_page;
+    if (has_range_) {
+      // Morsels past the visible prefix become empty scans.
+      first = first_page_;
+      if (end_page_ < end) {
+        // The morsel ends before the prefix does: no mid-page cap.
+        return {heap->NewScanRangeCapped(first, end_page_, 0)};
       }
-      return {heap->NewScanRangeCapped(first, end, plan.tail_rows)};
     }
-    if (auto* clustered =
-            dynamic_cast<storage::ClusteredTable*>(table_->table.get())) {
-      if (has_seek_) {
-        return clustered->NewSnapshotScanFrom(seek_prefix_, *snap,
-                                              ctx->txn_id);
-      }
-      return {clustered->NewSnapshotScan(*snap, ctx->txn_id)};
-    }
+    return {heap->NewScanRangeCapped(first, end, plan.tail_rows)};
   }
-  if (has_range_) {
-    auto* heap = dynamic_cast<storage::HeapTable*>(table_->table.get());
-    if (heap == nullptr) {
-      return Status::Internal("page-range scan on non-heap table " +
-                              table_->name);
-    }
-    return {heap->NewScanRange(first_page_, end_page_)};
-  }
-  if (has_seek_) {
-    return table_->table->NewScanFrom(seek_prefix_);
-  }
-  return {table_->table->NewScan()};
+  if (has_range_) return {heap->NewScanRange(first_page_, end_page_)};
+  return {heap->NewScan()};
 }
 
 int64_t TableScanOp::EstimateRows() const {
@@ -198,7 +189,48 @@ int64_t TableScanOp::EstimateRows() const {
   return static_cast<int64_t>(static_cast<uint64_t>(rows) * span / npages);
 }
 
+namespace {
+
+// SQL spelling of a seek bound: strings quoted, numbers bare.
+std::string BoundText(const Value& v) {
+  return v.IsStringKind() ? "'" + v.ToString() + "'" : v.ToString();
+}
+
+// The seek range as the conjuncts it came from, key column by key column:
+// "a_g_id = 0 AND a_pos >= 1000 AND a_pos < 1300".
+std::string RangeText(const Schema& schema, const std::vector<int>& key,
+                      const storage::KeyRange& range) {
+  const size_t n = std::max(range.lower.size(), range.upper.size());
+  std::vector<std::string> terms;
+  for (size_t i = 0; i < n; ++i) {
+    const std::string& name = schema.column(key[i]).name;
+    const bool has_lo = i < range.lower.size();
+    const bool has_hi = i < range.upper.size();
+    const bool last = i + 1 == n;
+    if (has_lo && has_hi && range.lower[i] == range.upper[i] &&
+        (!last || (range.lower_inclusive && range.upper_inclusive))) {
+      terms.push_back(name + " = " + BoundText(range.lower[i]));
+      continue;
+    }
+    if (has_lo) {
+      terms.push_back(name + (range.lower_inclusive ? " >= " : " > ") +
+                      BoundText(range.lower[i]));
+    }
+    if (has_hi) {
+      terms.push_back(name + (range.upper_inclusive ? " <= " : " < ") +
+                      BoundText(range.upper[i]));
+    }
+  }
+  return Join(terms, " AND ");
+}
+
+}  // namespace
+
 std::string TableScanOp::Describe() const {
+  if (seek_.has_value()) {
+    return "Clustered Index Seek [" + table_->name + "] (" +
+           RangeText(table_->schema, table_->clustered_key, *seek_) + ")";
+  }
   std::string kind = table_->clustered_key.empty()
                          ? "Table Scan"
                          : "Clustered Index Scan";
@@ -206,7 +238,6 @@ std::string TableScanOp::Describe() const {
   if (has_range_) {
     out += StringPrintf(" pages [%zu, %zu)", first_page_, end_page_);
   }
-  if (has_seek_) out += " (seek)";
   return out;
 }
 

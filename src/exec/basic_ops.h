@@ -2,17 +2,19 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "catalog/table_def.h"
 #include "exec/operator.h"
+#include "storage/clustered_table.h"
 
 namespace htg::exec {
 
 // Scan of a base table. Heap scans can be restricted to a page range (the
-// partition unit of parallel plans); clustered scans can seek to a key
-// prefix and stream in key order.
+// partition unit of parallel plans); clustered scans stream one key range
+// in key order, the whole table unless a seek range is given.
 class TableScanOp : public Operator {
  public:
   explicit TableScanOp(catalog::TableDef* table);
@@ -20,8 +22,8 @@ class TableScanOp : public Operator {
   // Heap page-range partition scan.
   TableScanOp(catalog::TableDef* table, size_t first_page, size_t end_page);
 
-  // Clustered-index range scan from `seek_prefix`.
-  TableScanOp(catalog::TableDef* table, Row seek_prefix);
+  // Clustered Index Seek: the rows whose clustered keys fall in `range`.
+  TableScanOp(catalog::TableDef* table, storage::KeyRange range);
 
   const Schema& output_schema() const override { return table_->schema; }
   Result<std::unique_ptr<storage::RowIterator>> OpenImpl(ExecContext* ctx) override;
@@ -35,8 +37,7 @@ class TableScanOp : public Operator {
   bool has_range_ = false;
   size_t first_page_ = 0;
   size_t end_page_ = 0;
-  bool has_seek_ = false;
-  Row seek_prefix_;
+  std::optional<storage::KeyRange> seek_;
 };
 
 // Literal rows (INSERT ... VALUES and tests).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "common/string_util.h"
@@ -11,6 +12,7 @@
 #include "exec/join_ops.h"
 #include "exec/parallel.h"
 #include "exec/sort_ops.h"
+#include "storage/clustered_table.h"
 #include "storage/heap_table.h"
 
 namespace htg::sql {
@@ -550,6 +552,82 @@ Result<Binder::FromResult> Binder::BindFrom(const SelectStmt& stmt) {
 
 namespace {
 
+// A seek bound: literals, negated literals and literal arithmetic, folded
+// once at bind time. Function calls stay out (GETDATE, NEWID, RAND).
+bool IsFoldable(const AstExpr& e) {
+  switch (e.kind) {
+    case AstExpr::Kind::kLiteral:
+      return true;
+    case AstExpr::Kind::kUnary:
+      return !e.unary_not && IsFoldable(*e.operand);
+    case AstExpr::Kind::kBinary:
+      switch (e.bin_op) {
+        case exec::BinaryOp::kAdd:
+        case exec::BinaryOp::kSub:
+        case exec::BinaryOp::kMul:
+        case exec::BinaryOp::kDiv:
+        case exec::BinaryOp::kMod:
+          return IsFoldable(*e.left) && IsFoldable(*e.right);
+        default:
+          return false;
+      }
+    default:
+      return false;
+  }
+}
+
+// Whether `v` orders against a key column of `type` exactly as the tree
+// does: an integer for an integer key, a string for a string key. A
+// double bound on an integer key compares as double, which parts from
+// the tree's exact int64 order beyond 2^53; NULL matches nothing.
+bool BoundFitsKey(DataType type, const Value& v) {
+  if (v.is_null()) return false;
+  switch (type) {
+    case DataType::kBool:
+    case DataType::kInt32:
+    case DataType::kInt64:
+      return v.IsIntegerKind();
+    case DataType::kString:
+      return v.type() == DataType::kString;
+    default:
+      return false;
+  }
+}
+
+// `k op col` as `col op' k`.
+exec::BinaryOp Mirror(exec::BinaryOp op) {
+  switch (op) {
+    case exec::BinaryOp::kLt:
+      return exec::BinaryOp::kGt;
+    case exec::BinaryOp::kLe:
+      return exec::BinaryOp::kGe;
+    case exec::BinaryOp::kGt:
+      return exec::BinaryOp::kLt;
+    case exec::BinaryOp::kGe:
+      return exec::BinaryOp::kLe;
+    default:
+      return op;
+  }
+}
+
+struct SeekBound {
+  Value value;
+  bool inclusive = true;
+};
+
+// Keeps the tighter of two bounds; `lower` picks the larger value, an
+// exclusive bound beating an inclusive one at the same value.
+void Tighten(std::optional<SeekBound>* cur, SeekBound next, bool lower) {
+  if (cur->has_value()) {
+    const int r = next.value.Compare((*cur)->value);
+    if (r == 0 ? next.inclusive || !(*cur)->inclusive
+               : (lower ? r < 0 : r > 0)) {
+      return;
+    }
+  }
+  *cur = std::move(next);
+}
+
 // DOP and morsel size for a morsel-parallel plan over `heap`. The heap's
 // current page must already be sealed.
 struct MorselPlan {
@@ -572,10 +650,94 @@ MorselPlan PlanMorsels(const storage::HeapTable* heap,
 
 }  // namespace
 
+// Clustered Index Seek: when FROM is one clustered table alone, the
+// sargable WHERE conjuncts on its key (equalities on the leading key
+// columns, then the tightest range on the next one) become one key range.
+// The full WHERE stays above the seek as the residual filter, so the range
+// need only cover the matching rows: a conjunct outside these rules (OR,
+// IN, <>, a bound of the wrong kind) simply does not narrow it.
+OperatorPtr Binder::BindSeek(const SelectStmt& stmt,
+                             const exec::Operator& from, const Scope& scope) {
+  const auto* scan = dynamic_cast<const exec::TableScanOp*>(&from);
+  if (stmt.where == nullptr || !stmt.joins.empty() || scan == nullptr ||
+      scan->table()->clustered_key.empty()) {
+    return nullptr;
+  }
+  catalog::TableDef* table = scan->table();
+  const std::vector<int>& key = table->clustered_key;
+
+  std::vector<std::optional<Value>> eq(key.size());
+  std::vector<std::optional<SeekBound>> lower(key.size());
+  std::vector<std::optional<SeekBound>> upper(key.size());
+  udf::EvalContext eval;  // folding literals needs no database
+  // Records `col op k` if col is a key column and k folds to a bound that
+  // fits it.
+  auto note = [&](const AstExpr& col, exec::BinaryOp op, const AstExpr& k) {
+    if (col.kind != AstExpr::Kind::kIdent || !IsFoldable(k)) return;
+    Result<int> index = scope.Resolve(col.ident);
+    if (!index.ok()) return;
+    const auto it = std::find(key.begin(), key.end(), *index);
+    if (it == key.end()) return;
+    const size_t pos = static_cast<size_t>(it - key.begin());
+    Result<ExprPtr> bound = BindValueExpr(k);
+    if (!bound.ok()) return;
+    Result<Value> v = (*bound)->Eval(&eval, Row{});
+    if (!v.ok() || !BoundFitsKey(table->schema.column(*index).type, *v)) {
+      return;
+    }
+    switch (op) {
+      case exec::BinaryOp::kEq:
+        if (!eq[pos].has_value()) eq[pos] = std::move(*v);
+        break;
+      case exec::BinaryOp::kGt:
+      case exec::BinaryOp::kGe:
+        Tighten(&lower[pos], {std::move(*v), op == exec::BinaryOp::kGe},
+                /*lower=*/true);
+        break;
+      case exec::BinaryOp::kLt:
+      case exec::BinaryOp::kLe:
+        Tighten(&upper[pos], {std::move(*v), op == exec::BinaryOp::kLe},
+                /*lower=*/false);
+        break;
+      default:
+        break;
+    }
+  };
+  std::vector<const AstExpr*> conjuncts;
+  SplitConjuncts(stmt.where.get(), &conjuncts);
+  for (const AstExpr* c : conjuncts) {
+    if (c->kind == AstExpr::Kind::kBinary) {
+      note(*c->left, c->bin_op, *c->right);
+      note(*c->right, Mirror(c->bin_op), *c->left);
+    } else if (c->kind == AstExpr::Kind::kBetween && !c->is_not) {
+      note(*c->operand, exec::BinaryOp::kGe, *c->between_low);
+      note(*c->operand, exec::BinaryOp::kLe, *c->between_high);
+    }
+  }
+
+  storage::KeyRange range;
+  size_t n = 0;
+  for (; n < key.size() && eq[n].has_value(); ++n) {
+    range.lower.push_back(*eq[n]);
+    range.upper.push_back(*eq[n]);
+  }
+  if (n < key.size() && lower[n].has_value()) {
+    range.lower.push_back(std::move(lower[n]->value));
+    range.lower_inclusive = lower[n]->inclusive;
+  }
+  if (n < key.size() && upper[n].has_value()) {
+    range.upper.push_back(std::move(upper[n]->value));
+    range.upper_inclusive = upper[n]->inclusive;
+  }
+  if (range.lower.empty() && range.upper.empty()) return nullptr;
+  return std::make_unique<exec::TableScanOp>(table, std::move(range));
+}
+
 Result<OperatorPtr> Binder::BindSelect(const SelectStmt& stmt) {
   HTG_ASSIGN_OR_RETURN(FromResult from, BindFrom(stmt));
   Scope scope = std::move(from.scope);
   OperatorPtr plan = std::move(from.op);
+  if (OperatorPtr seek = BindSeek(stmt, *plan, scope)) plan = std::move(seek);
 
   BindContext pre_ctx;
   pre_ctx.scope = &scope;

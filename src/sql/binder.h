@@ -16,6 +16,7 @@ namespace htg::sql {
 // paper observes in SQL Server:
 //
 //  * predicates apply below aggregation;
+//  * key-range predicates on a lone clustered table seek its B+-tree;
 //  * equi-joins over clustered tables whose clustered keys match the join
 //    keys become merge joins (Fig. 10), other equi-joins hash joins,
 //    anything else nested loops;
@@ -39,6 +40,10 @@ class Binder {
   struct FromResult;
 
   Result<FromResult> BindFrom(const SelectStmt& stmt);
+  // A Clustered Index Seek to replace `from`, the scan the FROM clause
+  // bound, or null when the FROM clause or the WHERE admit none.
+  exec::OperatorPtr BindSeek(const SelectStmt& stmt, const exec::Operator& from,
+                             const Scope& scope);
   Result<FromResult> BindTableRef(const TableRef& ref);
   Result<exec::ExprPtr> BindExpr(const AstExpr& ast, const BindContext& ctx);
   Result<std::vector<exec::ExprPtr>> BindExprs(

@@ -33,6 +33,7 @@ BPlusTree::BPlusTree(int fanout) : root_(new Node()), fanout_(fanout) {
 BPlusTree::~BPlusTree() { delete root_; }
 
 void BPlusTree::Clear() {
+  ++version_;
   delete root_;
   root_ = new Node();
   size_ = 0;
@@ -143,6 +144,7 @@ BPlusTree::SplitResult BPlusTree::InsertInto(Node* node, Row key,
 
 void BPlusTree::Insert(Row key, std::string payload, uint64_t stamp) {
   ++size_;
+  ++version_;
   SplitResult split =
       InsertInto(root_, std::move(key), std::move(payload), stamp);
   if (split.new_node != nullptr) {
@@ -198,34 +200,29 @@ BPlusTree::Cursor BPlusTree::First() const {
   return c;
 }
 
-BPlusTree::Cursor BPlusTree::Seek(const Row& key) const {
+BPlusTree::Cursor BPlusTree::Seek(const Row& key, bool after) const {
   HTG_METRIC_COUNTER("btree.seeks")->Add(1);
   HTG_METRIC_COUNTER("btree.node.reads")->Add(height_);
-  const Node* node = root_;
-  while (!node->is_leaf) {
-    // First child whose subtree may contain a key >= probe: descend at the
-    // lower-bound position (separator >= probe on the probe's prefix).
-    size_t lo = 0, hi = node->keys_.size();
+  // First position whose key lies at or past the probe: compares >= on
+  // the probe's prefix, or > when seeking past the prefix.
+  auto first_at_or_past = [&](const Node* n) {
+    size_t lo = 0, hi = n->keys_.size();
     while (lo < hi) {
       const size_t mid = (lo + hi) / 2;
-      if (ComparePrefix(key, node->keys_[mid]) <= 0) {
+      const int r = ComparePrefix(key, n->keys_[mid]);
+      if (after ? r < 0 : r <= 0) {
         hi = mid;
       } else {
         lo = mid + 1;
       }
     }
-    node = node->children_[lo];
-  }
-  // Lower bound within the leaf.
-  size_t lo = 0, hi = node->keys_.size();
-  while (lo < hi) {
-    const size_t mid = (lo + hi) / 2;
-    if (ComparePrefix(key, node->keys_[mid]) <= 0) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
+    return lo;
+  };
+  const Node* node = root_;
+  // Descend left of the first separator at or past the probe; the
+  // subtrees further left end before the first entry wanted.
+  while (!node->is_leaf) node = node->children_[first_at_or_past(node)];
+  const size_t lo = first_at_or_past(node);
   Cursor c;
   if (lo < node->keys_.size()) {
     c.leaf_ = node;

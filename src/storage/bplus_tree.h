@@ -27,6 +27,9 @@ class BPlusTree {
   void Insert(Row key, std::string payload, uint64_t stamp = 0);
 
   uint64_t size() const { return size_; }
+  // Bumped by every Insert and Clear: a cursor taken at one version stays
+  // valid while the version holds.
+  uint64_t version() const { return version_; }
   // Approximate structural overhead (node bookkeeping + key storage).
   uint64_t ApproxNodeBytes() const;
   int height() const { return height_; }
@@ -53,8 +56,9 @@ class BPlusTree {
   Cursor First() const;
 
   // Cursor at the first entry whose key compares >= `key` on the key's
-  // leading |key| columns (prefix seek).
-  Cursor Seek(const Row& key) const;
+  // leading |key| columns (prefix seek); with `after`, at the first entry
+  // that compares > `key` there, past every entry sharing the prefix.
+  Cursor Seek(const Row& key, bool after = false) const;
 
  private:
   struct Node;
@@ -70,6 +74,7 @@ class BPlusTree {
   Node* root_;
   int fanout_;
   uint64_t size_ = 0;
+  uint64_t version_ = 0;
   uint64_t num_nodes_ = 1;
   int height_ = 1;
 };

@@ -296,7 +296,9 @@ Status BufferPool::PutPage(uint32_t file_id, uint64_t page_no,
 Status BufferPool::InsertFrameLocked(uint32_t file_id, uint64_t page_no,
                                      std::string bytes, bool dirty,
                                      Frame** out) {
-  HTG_RETURN_IF_ERROR(EvictForLocked(bytes.size()));
+  // A frame is charged its buffer's capacity, the memory it holds, so the
+  // budget bounds resident bytes even for a page built with slack.
+  HTG_RETURN_IF_ERROR(EvictForLocked(bytes.capacity()));
   auto frame = std::make_unique<Frame>();
   frame->key = Key(file_id, page_no);
   frame->bytes = std::move(bytes);
@@ -304,9 +306,10 @@ Status BufferPool::InsertFrameLocked(uint32_t file_id, uint64_t page_no,
   frame->clock_pos = clock_.size();
   Frame* raw = frame.get();
   clock_.push_back(raw);
-  bytes_cached_ += raw->bytes.size();
+  bytes_cached_ += raw->bytes.capacity();
   frames_.emplace(raw->key, std::move(frame));
-  HTG_METRIC_GAUGE("bufferpool.bytes")->Add(static_cast<int64_t>(raw->bytes.size()));
+  HTG_METRIC_GAUGE("bufferpool.bytes")
+      ->Add(static_cast<int64_t>(raw->bytes.capacity()));
   HTG_METRIC_GAUGE("bufferpool.frames")->Add(1);
   *out = raw;
   return Status::OK();
@@ -379,9 +382,9 @@ void BufferPool::RemoveFrameLocked(Frame* frame) {
   clock_[pos] = clock_.back();
   clock_[pos]->clock_pos = pos;
   clock_.pop_back();
-  bytes_cached_ -= frame->bytes.size();
+  bytes_cached_ -= frame->bytes.capacity();
   HTG_METRIC_GAUGE("bufferpool.bytes")
-      ->Add(-static_cast<int64_t>(frame->bytes.size()));
+      ->Add(-static_cast<int64_t>(frame->bytes.capacity()));
   HTG_METRIC_GAUGE("bufferpool.frames")->Add(-1);
   frames_.erase(frame->key);
 }

@@ -24,7 +24,9 @@ namespace htg::storage {
 // Shape:
 //   * Frames hold whole serialized pages (variable length — engine pages
 //     are self-contained strings), so capacity is budgeted in bytes
-//     (HTG_BUFFER_POOL_MB, default 64 MiB), not frame counts.
+//     (HTG_BUFFER_POOL_MB, default 64 MiB), not frame counts. A frame is
+//     charged its buffer's capacity, so page builders hand over exactly
+//     sized buffers.
 //   * Pages are immutable once sealed; a frame's bytes never change after
 //     fill. "Dirty" therefore means "not yet written back to the file",
 //     not "modified" — the write-back discipline of an append-only spill

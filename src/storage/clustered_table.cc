@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <optional>
 #include <tuple>
 
 #include "common/crc32c.h"
@@ -77,6 +76,15 @@ int CompareFull(const Row& a, const Row& b) {
   return 0;
 }
 
+// Compares `key` with a range bound on the bound's leading columns.
+int ComparePrefix(const Row& key, const Row& bound) {
+  for (size_t i = 0; i < bound.size(); ++i) {
+    const int r = key[i].Compare(bound[i]);
+    if (r != 0) return r;
+  }
+  return 0;
+}
+
 }  // namespace
 
 Status ClusteredTable::DecodeEntryLocked(const std::string& payload,
@@ -105,55 +113,22 @@ Status ClusteredTable::DecodeEntryLocked(const std::string& payload,
                        Slice(page.data() + ref.offset, ref.length), row);
 }
 
-// Legacy cursor scan: key-ordered walk assuming no concurrent DML (the
-// library-mode contract — a cursor points into tree nodes between calls).
-// Each call still takes the shared latch so field access is race-free
-// against the MVCC write paths.
-class ClusteredTable::ScanIterator : public RowIterator {
+// The one clustered read path: a key-ordered range scan that holds the
+// shared latch only while filling kFillRows rows. If the tree changed
+// since the last fill it rebuilds its cursor from (last key,
+// visible-duplicate count), so a concurrent writer's inserts (and the
+// splits they trigger) never invalidate scan state; otherwise it resumes
+// where the last fill stopped, which keeps long runs of equal keys linear. Each fill stops at the first entry past the
+// range's upper bound. With a valid snapshot, entries are filtered by
+// stamp visibility; without one (library mode) every entry is returned.
+class ClusteredTable::RangeIterator : public RowIterator {
  public:
-  ScanIterator(const ClusteredTable* table, BPlusTree::Cursor cursor)
-      : table_(table), cursor_(cursor) {}
-
-  // One cursor walk decodes a whole batch, reusing the leaf-page pin
-  // across the run of rows that share a page.
-  bool NextBatch(RowBatch* batch) override {
-    batch->Clear();
-    ReaderMutexLock lock(&table_->latch_);
-    Row row;
-    while (!batch->full() && cursor_.Valid()) {
-      status_ = table_->DecodeEntryLocked(cursor_.payload(), &guard_, &row);
-      if (!status_.ok()) return false;
-      batch->AppendRow(std::move(row));
-      row.clear();
-      cursor_.Advance();
-    }
-    return batch->num_rows() > 0;
-  }
-
-  Status status() const override { return status_; }
-
- private:
-  const ClusteredTable* table_;
-  BPlusTree::Cursor cursor_;
-  PageGuard guard_;  // pin on the sealed leaf page last resolved
-  Status status_;
-};
-
-// MVCC snapshot scan: latch-per-refill with (key, visible-duplicate
-// count) resume, so a concurrent writer's inserts (and splits they
-// trigger) never invalidate scan state — the cursor is rebuilt from the
-// key each refill. Entries are filtered by stamp visibility.
-class ClusteredTable::SnapshotIterator : public RowIterator {
- public:
-  SnapshotIterator(const ClusteredTable* table, Snapshot snap, TxnId self)
-      : table_(table), snap_(std::move(snap)), self_(self) {}
-
-  SnapshotIterator(const ClusteredTable* table, Snapshot snap, TxnId self,
-                   Row seek)
+  RangeIterator(const ClusteredTable* table, KeyRange range, Snapshot snap,
+                TxnId self)
       : table_(table),
+        range_(std::move(range)),
         snap_(std::move(snap)),
-        self_(self),
-        seek_(std::move(seek)) {}
+        self_(self) {}
 
   bool NextBatch(RowBatch* batch) override {
     batch->Clear();
@@ -172,7 +147,14 @@ class ClusteredTable::SnapshotIterator : public RowIterator {
   static constexpr size_t kFillRows = 256;
 
   bool Visible(TxnId stamp) const {
-    return stamp == kFrozenTxn || stamp == self_ || snap_.Sees(stamp);
+    return !snap_.valid() || stamp == kFrozenTxn || stamp == self_ ||
+           snap_.Sees(stamp);
+  }
+
+  bool PastUpper(const Row& key) const {
+    if (range_.upper.empty()) return false;
+    const int r = ComparePrefix(key, range_.upper);
+    return r > 0 || (r == 0 && !range_.upper_inclusive);
   }
 
   bool Refill() {
@@ -180,10 +162,16 @@ class ClusteredTable::SnapshotIterator : public RowIterator {
     buffer_pos_ = 0;
     if (done_ || !status_.ok()) return false;
     ReaderMutexLock lock(&table_->latch_);
-    BPlusTree::Cursor cur = PositionLocked();
+    // An unchanged tree keeps the last fill's cursor valid; after any
+    // insert or sweep, re-seek.
+    BPlusTree::Cursor cur = cursor_;
+    if (!started_ || version_ != table_->tree_.version()) {
+      cur = PositionLocked();
+    }
     Row row;
     while (buffer_.size() < kFillRows && cur.Valid()) {
       const Row& key = cur.key();
+      if (PastUpper(key)) break;
       if (!started_ || CompareFull(key, last_key_) != 0) {
         last_key_ = key;
         seen_vis_ = 0;
@@ -202,21 +190,25 @@ class ClusteredTable::SnapshotIterator : public RowIterator {
       }
       cur.Advance();
     }
-    if (!cur.Valid()) done_ = true;
-    // Drop the pin between refills: a long-lived snapshot scan should not
-    // hold buffer-pool frames while the caller processes the batch.
+    if (!cur.Valid() || PastUpper(cur.key())) done_ = true;
+    cursor_ = cur;
+    version_ = table_->tree_.version();
+    // Drop the pin between refills: a long-lived scan should not hold
+    // buffer-pool frames while the caller processes the batch.
     guard_ = PageGuard();
     return !buffer_.empty();
   }
 
-  // Rebuilds a cursor at the first entry not yet consumed: lower-bound
-  // seek to the last key, then skip the visible duplicates already
-  // returned. Correct because equal keys insert after existing equals
-  // and GC only removes invisible (aborted) entries.
+  // Rebuilds a cursor at the first entry not yet consumed: the range's
+  // lower bound on the first fill; afterwards a lower-bound seek to the
+  // last key, then a skip over the visible duplicates already returned.
+  // Correct because equal keys insert after existing equals and GC only
+  // removes invisible (aborted) entries.
   BPlusTree::Cursor PositionLocked() HTG_REQUIRES_SHARED(table_->latch_) {
     if (!started_) {
-      return seek_.has_value() ? table_->tree_.Seek(*seek_)
-                               : table_->tree_.First();
+      return range_.lower.empty()
+                 ? table_->tree_.First()
+                 : table_->tree_.Seek(range_.lower, !range_.lower_inclusive);
     }
     BPlusTree::Cursor cur = table_->tree_.Seek(last_key_);
     uint64_t skipped = 0;
@@ -229,14 +221,16 @@ class ClusteredTable::SnapshotIterator : public RowIterator {
   }
 
   const ClusteredTable* table_;
+  const KeyRange range_;
   const Snapshot snap_;
   const TxnId self_;
-  const std::optional<Row> seek_;
 
   bool started_ = false;
   bool done_ = false;
   Row last_key_;
   uint64_t seen_vis_ = 0;  // visible entries of last_key_ already consumed
+  BPlusTree::Cursor cursor_;  // first entry not yet consumed, at version_
+  uint64_t version_ = 0;
   std::vector<Row> buffer_;
   size_t buffer_pos_ = 0;
   PageGuard guard_;
@@ -297,13 +291,18 @@ Status ClusteredTable::InsertLocked(const Row& row, TxnId txn) {
 Status ClusteredTable::SealLeafPage() {
   if (leaf_buf_.empty()) return Status::OK();
   // Page-level CRC32C trailer, the format the pool verifies on miss-fill.
+  // The sealed image gets an exactly sized buffer (the pool charges a
+  // frame's capacity); leaf_buf_ keeps its own for the next leaf.
   const uint32_t crc = Crc32c(leaf_buf_.data(), leaf_buf_.size());
-  for (int i = 0; i < 4; ++i) {
-    leaf_buf_.push_back(static_cast<char>((crc >> (8 * i)) & 0xff));
+  std::string page;
+  page.reserve(leaf_buf_.size() + kPageChecksumBytes);
+  page.append(leaf_buf_);
+  for (size_t i = 0; i < kPageChecksumBytes; ++i) {
+    page.push_back(static_cast<char>((crc >> (8 * i)) & 0xff));
   }
   const uint64_t expected_page = backing_->num_pages();
   HTG_ASSIGN_OR_RETURN(const uint64_t page_no,
-                       backing_->AppendPage(std::move(leaf_buf_)));
+                       backing_->AppendPage(std::move(page)));
   leaf_buf_.clear();
   if (page_no != expected_page) {
     return Status::Internal("clustered leaf page numbering out of sync");
@@ -326,31 +325,18 @@ StorageStats ClusteredTable::Stats() const {
 }
 
 std::unique_ptr<RowIterator> ClusteredTable::NewScan() {
-  ReaderMutexLock lock(&latch_);
-  return std::make_unique<ScanIterator>(this, tree_.First());
+  return std::make_unique<RangeIterator>(this, KeyRange{}, Snapshot{},
+                                         kFrozenTxn);
 }
 
-Result<std::unique_ptr<RowIterator>> ClusteredTable::NewScanFrom(
-    const Row& prefix) {
-  if (prefix.size() > key_columns_.size()) {
-    return Status::InvalidArgument("seek key longer than clustered key");
+Result<std::unique_ptr<RowIterator>> ClusteredTable::NewRangeScan(
+    KeyRange range, Snapshot snap, TxnId self) {
+  if (range.lower.size() > key_columns_.size() ||
+      range.upper.size() > key_columns_.size()) {
+    return Status::InvalidArgument("key range longer than clustered key");
   }
-  ReaderMutexLock lock(&latch_);
-  return {std::make_unique<ScanIterator>(this, tree_.Seek(prefix))};
-}
-
-std::unique_ptr<RowIterator> ClusteredTable::NewSnapshotScan(Snapshot snap,
-                                                             TxnId self) {
-  return std::make_unique<SnapshotIterator>(this, std::move(snap), self);
-}
-
-Result<std::unique_ptr<RowIterator>> ClusteredTable::NewSnapshotScanFrom(
-    const Row& prefix, Snapshot snap, TxnId self) {
-  if (prefix.size() > key_columns_.size()) {
-    return Status::InvalidArgument("seek key longer than clustered key");
-  }
-  return {std::make_unique<SnapshotIterator>(this, std::move(snap), self,
-                                             prefix)};
+  return {std::make_unique<RangeIterator>(this, std::move(range),
+                                          std::move(snap), self)};
 }
 
 void ClusteredTable::MarkAborted(uint64_t count) {

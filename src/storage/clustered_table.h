@@ -12,6 +12,17 @@
 
 namespace htg::storage {
 
+// A range of clustered keys. Each bound is a key prefix compared on its
+// own leading columns, inclusive or exclusive; an empty bound leaves that
+// side open. `lower` (a, 5) exclusive with `upper` (a) inclusive, say,
+// holds the keys that start with a and whose second column exceeds 5.
+struct KeyRange {
+  Row lower;
+  bool lower_inclusive = true;
+  Row upper;
+  bool upper_inclusive = true;
+};
+
 // A table stored in clustered-index order: rows live in a B+-tree keyed by
 // the clustered key columns. Scans return rows in key order, which is what
 // lets the planner pick merge joins (paper Fig. 10) and lets the
@@ -30,14 +41,12 @@ namespace htg::storage {
 // every miss-fill.
 //
 // Concurrency (MVCC): every tree entry carries the txn-id stamp of its
-// inserting transaction (0 = frozen). Snapshot scans (NewSnapshotScan)
-// hold an internal reader/writer latch only while filling one batch and
-// re-seek by (last key, visible-duplicate count) between batches, so
-// they interleave with a writer transaction's inserts; entries of
-// aborted transactions stay in the tree but are invisible to every
-// snapshot until SweepAborted rebuilds without them. Plain NewScan
-// cursors walk tree nodes unlatched across calls and still require no
-// concurrent DML — the library-mode contract.
+// inserting transaction (0 = frozen). Every scan is a key-range scan
+// (NewRangeScan) that holds an internal reader/writer latch only while
+// filling a few hundred rows and re-seeks by (last key, visible-duplicate
+// count) between fills, so it interleaves with a writer transaction's
+// inserts; entries of aborted transactions stay in the tree but are
+// invisible to every snapshot until SweepAborted rebuilds without them.
 class ClusteredTable : public TableStorage {
  public:
   // `file` holds the sealed leaf pages (TableSpace::CreateTableFile).
@@ -55,16 +64,20 @@ class ClusteredTable : public TableStorage {
   Status InsertStamped(const Row& row, TxnId txn);
   uint64_t num_rows() const override;
   StorageStats Stats() const override;
+  // Every entry in key order: NewRangeScan over the whole key space with
+  // no snapshot.
   std::unique_ptr<RowIterator> NewScan() override;
-  Result<std::unique_ptr<RowIterator>> NewScanFrom(const Row& prefix) override;
   void Truncate() override;
 
-  // Key-ordered scan of exactly the rows visible to `snap` (`self` sees
-  // its own uncommitted inserts). Safe against concurrent InsertStamped.
-  std::unique_ptr<RowIterator> NewSnapshotScan(Snapshot snap, TxnId self);
-  Result<std::unique_ptr<RowIterator>> NewSnapshotScanFrom(const Row& prefix,
-                                                           Snapshot snap,
-                                                           TxnId self);
+  // Key-ordered scan of the entries whose keys fall in `range`: it seeks
+  // to the lower bound and stops at the first entry past the upper one.
+  // With a valid snapshot it returns exactly the rows `snap` sees (`self`
+  // sees its own uncommitted inserts); with the default, invalid one,
+  // every entry (library mode). Safe against concurrent InsertStamped
+  // either way.
+  Result<std::unique_ptr<RowIterator>> NewRangeScan(KeyRange range,
+                                                    Snapshot snap = {},
+                                                    TxnId self = kFrozenTxn);
 
   // Transaction abort: `count` freshly inserted entries now belong to an
   // aborted txn. They stay in the tree (hidden by their stamps) until
@@ -72,13 +85,13 @@ class ClusteredTable : public TableStorage {
   void MarkAborted(uint64_t count);
 
   // GC: rebuilds the tree without entries stamped by a txn in `aborted`
-  // (sorted). Returns the number of entries removed. Callers must ensure
-  // no legacy NewScan cursor is live (snapshot scans are safe).
+  // (sorted). Returns the number of entries removed. Snapshot scans stay
+  // correct across it; a scan without a snapshot counts the swept
+  // entries as visible and must not be live.
   uint64_t SweepAborted(const std::vector<TxnId>& aborted);
 
  private:
-  class ScanIterator;
-  class SnapshotIterator;
+  class RangeIterator;
 
   // Seals leaf_buf_ into the backing file (page CRC trailer appended).
   Status SealLeafPage() HTG_REQUIRES(latch_);

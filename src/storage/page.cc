@@ -103,8 +103,12 @@ std::string PageBuilder::Finish() {
   return page;
 }
 
+// Both Finish paths size the page buffer exactly, checksum trailer
+// included: the buffer pool charges a frame's capacity, so append slack
+// would be resident memory past the pool's budget.
 std::string PageBuilder::FinishRowStream() {
   std::string page;
+  page.reserve(3 + raw_bytes_ + kPageChecksumBytes);
   page.push_back(static_cast<char>(mode_));
   PutU16(&page, static_cast<uint16_t>(row_count_));
   for (const std::string& r : encoded_rows_) {
@@ -115,14 +119,20 @@ std::string PageBuilder::FinishRowStream() {
 
 std::string PageBuilder::FinishPageCompressed() {
   const int ncols = schema_->num_columns();
-  std::string page;
-  page.push_back(static_cast<char>(Compression::kPage));
-  PutU16(&page, static_cast<uint16_t>(row_count_));
-  PutU16(&page, static_cast<uint16_t>(ncols));
-  // Null bitmaps, back to back.
-  for (const std::string& bm : bitmaps_) page.append(bm);
-
+  // Per column: the common prefix of its non-null fields and, when it
+  // pays off, a dictionary of their distinct suffixes. Planned first so
+  // the page's exact size is known before it is written.
+  struct ColumnPlan {
+    std::vector<std::string_view> suffixes;  // non-null rows, row order
+    std::string_view prefix;
+    std::map<std::string_view, int> dict;
+    bool use_dict = false;
+  };
+  std::vector<ColumnPlan> plans(ncols);
+  size_t size = 5 + static_cast<size_t>(row_count_) * ((ncols + 7) / 8) +
+                kPageChecksumBytes;
   for (int c = 0; c < ncols; ++c) {
+    ColumnPlan& plan = plans[c];
     // Collect the encoded field of every non-null row in row order.
     std::vector<const std::string*> entries;
     entries.reserve(fields_.size());
@@ -131,53 +141,61 @@ std::string PageBuilder::FinishPageCompressed() {
       if (!is_null) entries.push_back(&fields_[r][c]);
     }
     const size_t prefix_len = CommonPrefixLength(entries);
-    const std::string prefix =
-        entries.empty() ? std::string() : entries[0]->substr(0, prefix_len);
+    if (!entries.empty()) {
+      plan.prefix = std::string_view(*entries[0]).substr(0, prefix_len);
+    }
+    plan.suffixes.reserve(entries.size());
+    for (const std::string* e : entries) {
+      plan.suffixes.push_back(std::string_view(*e).substr(prefix_len));
+    }
 
     // Candidate 1: dictionary of distinct suffixes.
-    std::map<std::string_view, int> dict;
     size_t dict_entry_bytes = 0;
-    for (const std::string* e : entries) {
-      std::string_view suffix(*e);
-      suffix.remove_prefix(prefix_len);
-      auto [it, inserted] = dict.emplace(suffix, static_cast<int>(dict.size()));
+    for (std::string_view suffix : plan.suffixes) {
+      auto [it, inserted] =
+          plan.dict.emplace(suffix, static_cast<int>(plan.dict.size()));
       if (inserted) {
         dict_entry_bytes += VarintLength(suffix.size()) + suffix.size();
       }
     }
     size_t dict_ref_bytes = 0;
-    for (const std::string* e : entries) {
-      std::string_view suffix(*e);
-      suffix.remove_prefix(prefix_len);
-      dict_ref_bytes += VarintLength(dict.find(suffix)->second);
+    for (std::string_view suffix : plan.suffixes) {
+      dict_ref_bytes += VarintLength(plan.dict.find(suffix)->second);
     }
     const size_t dict_cost = dict_entry_bytes + dict_ref_bytes +
-                             VarintLength(dict.size());
+                             VarintLength(plan.dict.size());
     // Candidate 2: plain prefix-stripped suffixes.
     size_t plain_cost = 0;
-    for (const std::string* e : entries) {
-      const size_t n = e->size() - prefix_len;
-      plain_cost += VarintLength(n) + n;
+    for (std::string_view suffix : plan.suffixes) {
+      plain_cost += VarintLength(suffix.size()) + suffix.size();
     }
 
-    const bool use_dict = dict_cost < plain_cost;
-    page.push_back(use_dict ? 1 : 0);
-    PutLengthPrefixed(&page, prefix);
-    if (use_dict) {
-      PutVarint64(&page, dict.size());
+    plan.use_dict = dict_cost < plain_cost;
+    size += 1 + VarintLength(prefix_len) + prefix_len +
+            (plan.use_dict ? dict_cost : plain_cost);
+  }
+
+  std::string page;
+  page.reserve(size);
+  page.push_back(static_cast<char>(Compression::kPage));
+  PutU16(&page, static_cast<uint16_t>(row_count_));
+  PutU16(&page, static_cast<uint16_t>(ncols));
+  // Null bitmaps, back to back.
+  for (const std::string& bm : bitmaps_) page.append(bm);
+  for (const ColumnPlan& plan : plans) {
+    page.push_back(plan.use_dict ? 1 : 0);
+    PutLengthPrefixed(&page, plan.prefix);
+    if (plan.use_dict) {
+      PutVarint64(&page, plan.dict.size());
       // Entries in id order.
-      std::vector<std::string_view> by_id(dict.size());
-      for (const auto& [suffix, id] : dict) by_id[id] = suffix;
+      std::vector<std::string_view> by_id(plan.dict.size());
+      for (const auto& [suffix, id] : plan.dict) by_id[id] = suffix;
       for (std::string_view s : by_id) PutLengthPrefixed(&page, s);
-      for (const std::string* e : entries) {
-        std::string_view suffix(*e);
-        suffix.remove_prefix(prefix_len);
-        PutVarint64(&page, dict.find(suffix)->second);
+      for (std::string_view suffix : plan.suffixes) {
+        PutVarint64(&page, plan.dict.find(suffix)->second);
       }
     } else {
-      for (const std::string* e : entries) {
-        std::string_view suffix(*e);
-        suffix.remove_prefix(prefix_len);
+      for (std::string_view suffix : plan.suffixes) {
         PutLengthPrefixed(&page, suffix);
       }
     }
@@ -290,7 +308,8 @@ bool PageReader::Next(Row* row) {
   if (!status_.ok()) return false;
   if (next_row_ >= row_count_) return false;
   if (mode_ == Compression::kPage) {
-    *row = decoded_[next_row_++];
+    // Each eagerly decoded row is handed out exactly once.
+    *row = std::move(decoded_[next_row_++]);
     return true;
   }
   std::string_view encoded;

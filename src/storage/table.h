@@ -84,13 +84,6 @@ class TableStorage {
     static const std::vector<int>& empty = *new std::vector<int>();
     return empty;
   }
-
-  // Range scan from the first row with key >= prefix. Only clustered
-  // tables support this.
-  virtual Result<std::unique_ptr<RowIterator>> NewScanFrom(const Row& prefix) {
-    (void)prefix;
-    return Status::NotImplemented("table has no clustered index");
-  }
 };
 
 }  // namespace htg::storage

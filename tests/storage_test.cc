@@ -397,7 +397,7 @@ TEST(ClusteredTableTest, ScanInKeyOrder) {
   EXPECT_EQ(count, 500);
 }
 
-TEST(ClusteredTableTest, ScanFromSeeksPrefix) {
+TEST(ClusteredTableTest, RangeScanSeeksAndStops) {
   Schema schema;
   schema.AddColumn({.name = "k", .type = DataType::kInt64});
   schema.AddColumn({.name = "v", .type = DataType::kString});
@@ -406,16 +406,123 @@ TEST(ClusteredTableTest, ScanFromSeeksPrefix) {
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(table.Insert(Row{Value::Int64(i), Value::String("x")}).ok());
   }
-  auto iter = table.NewScanFrom(Row{Value::Int64(90)});
-  ASSERT_TRUE(iter.ok());
-  std::vector<Row> rows;
-  ASSERT_TRUE(exec::DrainIterator(iter->get(), &rows).ok());
-  int count = 0;
-  for (const Row& row : rows) {
-    EXPECT_GE(row[0].AsInt64(), 90);
-    ++count;
+  auto keys_in = [&](KeyRange range) {
+    auto iter = table.NewRangeScan(std::move(range));
+    EXPECT_TRUE(iter.ok());
+    std::vector<Row> rows;
+    EXPECT_TRUE(exec::DrainIterator(iter->get(), &rows).ok());
+    std::vector<int64_t> keys;
+    for (const Row& row : rows) keys.push_back(row[0].AsInt64());
+    return keys;
+  };
+  auto range = [](Row lower, bool lower_inclusive, Row upper,
+                  bool upper_inclusive) {
+    KeyRange r;
+    r.lower = std::move(lower);
+    r.lower_inclusive = lower_inclusive;
+    r.upper = std::move(upper);
+    r.upper_inclusive = upper_inclusive;
+    return r;
+  };
+  std::vector<int64_t> want;
+  for (int64_t k = 90; k < 100; ++k) want.push_back(k);
+  EXPECT_EQ(keys_in(range({Value::Int64(90)}, true, {}, true)), want);
+  EXPECT_EQ(keys_in(range({Value::Int64(10)}, false, {Value::Int64(13)}, true)),
+            (std::vector<int64_t>{11, 12, 13}));
+  EXPECT_EQ(keys_in(range({}, true, {Value::Int64(2)}, false)),
+            (std::vector<int64_t>{0, 1}));
+  EXPECT_TRUE(
+      keys_in(range({Value::Int64(50)}, true, {Value::Int64(40)}, true))
+          .empty());
+  EXPECT_FALSE(
+      table.NewRangeScan(range({Value::Int64(1), Value::Int64(2)}, true, {},
+                               true))
+          .ok());
+}
+
+// Inserts between two fills of a live range scan split the leaves under
+// it; the scan must re-seek and return exactly the entries its snapshot
+// sees, in key order.
+TEST(ClusteredTableTest, RangeScanResumesAcrossSplitsBetweenFills) {
+  Schema schema;
+  schema.AddColumn({.name = "k", .type = DataType::kInt64});
+  schema.AddColumn({.name = "v", .type = DataType::kInt64});
+  TestTableSpace space(SpaceRoot("clustered_resume"));
+  ClusteredTable table(schema, {0}, Compression::kNone, space.NewFile("t"));
+  for (int64_t i = 0; i < 2000; ++i) {
+    ASSERT_TRUE(table.Insert(Row{Value::Int64(i / 4), Value::Int64(i)}).ok());
   }
-  EXPECT_EQ(count, 10);
+  Snapshot snap;
+  snap.next = 5;  // sees frozen entries, not those of txn 9
+  KeyRange range;
+  range.lower = {Value::Int64(100)};
+  range.upper = {Value::Int64(400)};
+  range.upper_inclusive = false;
+  auto iter = table.NewRangeScan(range, snap);
+  ASSERT_TRUE(iter.ok());
+  std::vector<int64_t> got;
+  RowBatch batch(7);
+  ASSERT_TRUE((*iter)->NextBatch(&batch));  // buffers the first fill
+  for (size_t r = 0; r < batch.num_rows(); ++r) {
+    got.push_back(batch.column(1)[r].AsInt64());
+  }
+  for (int64_t i = 0; i < 3000; ++i) {
+    ASSERT_TRUE(
+        table.InsertStamped(Row{Value::Int64(90 + i % 320), Value::Int64(-1)},
+                            9)
+            .ok());
+  }
+  while ((*iter)->NextBatch(&batch)) {
+    for (size_t r = 0; r < batch.num_rows(); ++r) {
+      got.push_back(batch.column(1)[r].AsInt64());
+    }
+  }
+  ASSERT_TRUE((*iter)->status().ok());
+  std::vector<int64_t> want;
+  for (int64_t i = 400; i < 1600; ++i) want.push_back(i);
+  EXPECT_EQ(got, want);
+}
+
+// The pool charges a frame its buffer's capacity, and every sealed page
+// (heap ROW and PAGE pages, clustered leaves) arrives in an exactly sized
+// buffer, so the bufferpool.bytes gauge tracks the sealed page bytes.
+TEST(PooledTableTest, PoolChargesSealedPageBytes) {
+  TestTableSpace space(SpaceRoot("pool_charge"));
+  obs::Gauge* gauge =
+      obs::MetricsRegistry::Global().GetGauge("bufferpool.bytes");
+  const int64_t before = gauge->Value();
+
+  std::vector<TableFile*> files;
+  auto file = [&](const std::string& name) {
+    std::unique_ptr<TableFile> f = space.NewFile(name);
+    files.push_back(f.get());
+    return f;
+  };
+  HeapTable row_heap(TestSchema(), Compression::kRow, file("row"), 1024);
+  HeapTable page_heap(TestSchema(), Compression::kPage, file("page"), 1024);
+  ClusteredTable clustered(TestSchema(), {1, 0}, Compression::kRow,
+                           file("clustered"));
+  for (int i = 0; i < 3000; ++i) {
+    ASSERT_TRUE(row_heap.Insert(TestRow(i)).ok());
+    ASSERT_TRUE(page_heap.Insert(TestRow(i)).ok());
+    ASSERT_TRUE(clustered.Insert(TestRow(i)).ok());
+  }
+  ASSERT_TRUE(row_heap.SealCurrentPage().ok());
+  ASSERT_TRUE(page_heap.SealCurrentPage().ok());
+
+  int64_t sealed = 0;
+  for (TableFile* f : files) {
+    ASSERT_GT(f->num_pages(), 1u);
+    for (uint64_t p = 0; p < f->num_pages(); ++p) {
+      auto page = f->ReadPage(p);
+      ASSERT_TRUE(page.ok()) << page.status().ToString();
+      sealed += static_cast<int64_t>(page->data().size());
+    }
+  }
+  const int64_t charged = gauge->Value() - before;
+  EXPECT_EQ(static_cast<size_t>(charged), space.pool()->bytes_cached());
+  EXPECT_GE(charged, sealed);
+  EXPECT_LE(charged, sealed + sealed / 50) << "sealed " << sealed;
 }
 
 // A pool far smaller than the tables: sealed pages are written back and

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end smoke of htgdb-server over a real loopback socket: launch the
 # server on an ephemeral port, drive a scripted htgdb-cli session (DDL ->
-# load -> query -> prepared statement -> close), then SIGTERM and verify a
-# clean graceful drain with no leaked process. CI's server-smoke job runs
-# exactly this script; locally:
+# load -> query -> prepared statement -> close -> clustered key-range seek
+# -> transactions), then SIGTERM and verify a clean graceful drain with no
+# leaked process. CI's server-smoke job runs exactly this script; locally:
 #
 #     tools/server_smoke.sh build
 #
@@ -65,6 +65,11 @@ SELECT k, COUNT(*), SUM(v) FROM smoke GROUP BY k ORDER BY k
 \prepare SELECT SUM(v) FROM smoke
 \execute 1
 \close 1
+# clustered key-range read: the plan seeks the B+-tree
+CREATE TABLE locus (g INT NOT NULL, p BIGINT NOT NULL, tag VARCHAR(8), PRIMARY KEY (g, p))
+INSERT INTO locus VALUES (0, 12, 'x0'), (1, 5, 'x1'), (1, 10, 'seek-10'), (1, 15, 'seek-15'), (1, 19, 'seek-19'), (1, 20, 'x2'), (2, 11, 'x3')
+EXPLAIN SELECT tag FROM locus WHERE g = 1 AND p >= 10 AND p < 20
+SELECT tag FROM locus WHERE g = 1 AND p >= 10 AND p < 20
 # transaction round trip: an aborted insert leaves the count unchanged,
 # a committed one bumps it (BEGIN/COMMIT/ABORT cross as wire frames)
 BEGIN
@@ -86,6 +91,11 @@ grep -q "^60$" "$CLI_OUT" || fail "SUM(v) result 60 not in cli output"
 # Post-ABORT count must still be 3; post-COMMIT count must be 4.
 TXN_COUNTS="$(grep -x '[0-9]*' "$CLI_OUT" | tail -2 | tr '\n' ' ')"
 [ "$TXN_COUNTS" = "3 4 " ] || fail "txn round trip counts were '$TXN_COUNTS' (want '3 4 ')"
+grep -q "Clustered Index Seek \[locus\] (g = 1 AND p >= 10 AND p < 20)" "$CLI_OUT" ||
+  fail "EXPLAIN of the key-range read did not show a Clustered Index Seek"
+SEEK_ROWS="$(grep -o 'seek-[0-9]*' "$CLI_OUT" | tr '\n' ' ')"
+[ "$SEEK_ROWS" = "seek-10 seek-15 seek-19 " ] ||
+  fail "key-range read returned '$SEEK_ROWS' (want 'seek-10 seek-15 seek-19 ')"
 
 # Graceful drain: SIGTERM, then the process must exit 0 and be gone.
 kill -TERM "$SERVER_PID" || fail "could not signal server"
