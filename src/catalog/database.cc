@@ -28,14 +28,6 @@ size_t DatabaseOptions::ResolvedQueryMemBytes() const {
   return size_t{256} << 20;
 }
 
-bool DatabaseOptions::ResolvedSpillEnabled() const {
-  if (!enable_spill) return false;
-  if (const char* env = std::getenv("HTG_SPILL")) {
-    if (env[0] == '0' && env[1] == '\0') return false;
-  }
-  return true;
-}
-
 uint64_t DatabaseOptions::ResolvedMvccGcEvery() const {
   if (mvcc_gc_every >= 0) return static_cast<uint64_t>(mvcc_gc_every);
   if (const char* env = std::getenv("HTG_MVCC_GC_EVERY")) {

@@ -32,10 +32,6 @@ struct DatabaseOptions {
   int max_dop = 4;
   // Row-count threshold below which the planner stays serial.
   uint64_t parallel_threshold = 10000;
-  // Upper bound on morsel size (heap pages per stolen work unit) for
-  // parallel plans; the planner shrinks morsels on small tables so every
-  // worker gets several.
-  size_t morsel_pages = 32;
   // Rows per batch pulled between operators; 0 = RowBatch::kDefaultRows
   // (1024).
   size_t batch_rows = 0;
@@ -47,10 +43,8 @@ struct DatabaseOptions {
   int64_t query_mem_bytes = -1;
   // Let over-budget operators degrade to disk spill runs through the
   // tablespace instead of failing. Off: over-budget statements fail with
-  // kResourceExhausted. HTG_SPILL=0 disables it from the environment.
+  // kResourceExhausted.
   bool enable_spill = true;
-  // Fan-out of one partition-spill pass in hash aggregate / hash join.
-  size_t spill_partitions = 16;
   // Completed (committed + aborted) transactions between opportunistic
   // version-GC sweeps. -1 = HTG_MVCC_GC_EVERY (default 16); 0 disables
   // the automatic sweep (SweepVersions can still be called directly).
@@ -61,8 +55,6 @@ struct DatabaseOptions {
   // query_mem_bytes with the -1 = environment default applied; 0 means
   // unlimited.
   size_t ResolvedQueryMemBytes() const;
-  // enable_spill combined with the HTG_SPILL environment override.
-  bool ResolvedSpillEnabled() const;
   // mvcc_gc_every with the -1 = environment default applied.
   uint64_t ResolvedMvccGcEvery() const;
 };

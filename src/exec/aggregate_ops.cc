@@ -7,7 +7,6 @@
 #include "common/synchronization.h"
 #include "exec/batch.h"
 #include "exec/spill_util.h"
-#include "storage/heap_table.h"
 #include "storage/spill.h"
 
 namespace htg::exec {
@@ -21,18 +20,14 @@ constexpr size_t kInstanceOverheadBytes = 64;
 
 // Thread-safe partition-spill sink for input rows whose group key did
 // not fit in memory. Rows are hashed (salted by recursion level) into
-// spill_partitions runs on one shared spill file; a later pass re-
+// kSpillPartitions runs on one shared spill file; a later pass re-
 // aggregates each partition with a fresh budget. The file and writers
 // materialize lazily on the first spilled row, so the happy path costs
 // one atomic load.
 class AggSpill {
  public:
-  AggSpill(storage::TableSpace* space, size_t nparts, int level,
-           OperatorStats* stats)
-      : space_(space),
-        nparts_(nparts == 0 ? 1 : nparts),
-        level_(level),
-        stats_(stats) {}
+  AggSpill(storage::TableSpace* space, int level, OperatorStats* stats)
+      : space_(space), level_(level), stats_(stats) {}
 
   bool engaged() const { return engaged_.load(std::memory_order_acquire); }
   int level() const { return level_; }
@@ -42,14 +37,14 @@ class AggSpill {
     MutexLock lock(&mu_);
     if (file_ == nullptr) {
       HTG_ASSIGN_OR_RETURN(file_, storage::SpillFile::Create(space_, "agg"));
-      writers_.reserve(nparts_);
-      for (size_t p = 0; p < nparts_; ++p) {
+      writers_.reserve(kSpillPartitions);
+      for (size_t p = 0; p < kSpillPartitions; ++p) {
         writers_.push_back(
             std::make_unique<storage::SpillRunWriter>(file_.get()));
       }
       engaged_.store(true, std::memory_order_release);
     }
-    return writers_[SpillRowHash(key, level_) % nparts_]->Add(input);
+    return writers_[SpillRowHash(key, level_) % kSpillPartitions]->Add(input);
   }
 
   // Seals every nonempty partition and flushes the file, so injected
@@ -73,7 +68,6 @@ class AggSpill {
 
  private:
   storage::TableSpace* space_;
-  size_t nparts_;
   int level_;
   OperatorStats* stats_;
   Mutex mu_{"AggSpill::mu_"};
@@ -406,7 +400,7 @@ class AggSpillQueue {
     work_.pop_back();
     if (work.level > kMaxSpillDepth) return SpillDepthError(op_name_);
     auto sub = std::make_unique<AggSpill>(
-        ctx_->tablespace, ctx_->spill_partitions, work.level, stats_);
+        ctx_->tablespace, work.level, stats_);
     AggGovernance gov{charge, ctx_, sub.get(), op_name_};
     storage::SpillRunReader reader(work.file, std::move(work.run));
     HTG_RETURN_IF_ERROR(BuildGroups(&reader, ctx_->batch_rows, *group_exprs_,
@@ -520,16 +514,6 @@ class DistinctAggregateInstance : public udf::AggregateInstance {
 
 }  // namespace
 
-AggSpec AggSpec::Clone() const {
-  AggSpec copy;
-  copy.fn = fn;
-  copy.display = display;
-  copy.distinct = distinct;
-  copy.args.reserve(args.size());
-  for (const ExprPtr& a : args) copy.args.push_back(a->Clone());
-  return copy;
-}
-
 std::unique_ptr<udf::AggregateColumn> AggSpec::NewColumn() const {
   if (!distinct) return fn->NewColumn();
   const udf::AggregateFunction* f = fn;
@@ -580,7 +564,7 @@ Result<std::unique_ptr<storage::RowIterator>> HashAggregateOp::OpenImpl(
   OperatorStats* stats = mutable_stats();
   MemoryCharge charge(ctx->mem.get(), "Hash Match (Aggregate)");
   auto spill = std::make_unique<AggSpill>(
-      ctx->tablespace, ctx->spill_partitions, 0, stats);
+      ctx->tablespace, 0, stats);
   AggGovernance gov{&charge, ctx, spill.get(), "Hash Match (Aggregate)"};
   GroupTable groups(group_exprs_.size(), aggs_);
   HTG_RETURN_IF_ERROR(BuildGroups(child.get(), ctx->batch_rows, group_exprs_,
@@ -748,46 +732,25 @@ std::string StreamAggregateOp::Describe() const {
   return "Stream Aggregate " + DescribeAggs(group_exprs_, aggs_);
 }
 
-ParallelAggregateOp::ParallelAggregateOp(catalog::TableDef* table,
-                                         std::vector<ParallelStage> stages,
+ParallelAggregateOp::ParallelAggregateOp(OperatorPtr child,
                                          std::vector<ExprPtr> group_exprs,
                                          std::vector<std::string> group_names,
                                          std::vector<AggSpec> aggs, int dop,
                                          size_t morsel_pages)
-    : table_(table),
-      stages_(std::move(stages)),
+    : child_(std::move(child)),
       group_exprs_(std::move(group_exprs)),
       aggs_(std::move(aggs)),
       dop_(dop < 1 ? 1 : dop),
       morsel_pages_(morsel_pages == 0 ? kDefaultMorselPages : morsel_pages),
-      schema_(MakeAggregateSchema(group_exprs_, group_names, aggs_)),
-      repr_(BuildExplainPipeline(table_, stages_, dop_, morsel_pages_)) {}
-
-int64_t ParallelAggregateOp::EstimateRows() const {
-  // A global aggregate yields exactly one row; grouped cardinality is
-  // unknown without column statistics.
-  return group_exprs_.empty() ? 1 : -1;
-}
+      schema_(MakeAggregateSchema(group_exprs_, group_names, aggs_)) {}
 
 Result<std::unique_ptr<storage::RowIterator>> ParallelAggregateOp::OpenImpl(
     ExecContext* ctx) {
-  auto* heap = dynamic_cast<storage::HeapTable*>(table_->table.get());
-  if (heap == nullptr) {
-    return Status::Internal("parallel aggregate over non-heap table " +
-                            table_->name);
-  }
-  HTG_RETURN_IF_ERROR(heap->SealCurrentPage());
-  const std::vector<Morsel> morsels =
-      MakeMorsels(heap->num_pages_sealed(), morsel_pages_);
+  HTG_ASSIGN_OR_RETURN(const std::vector<Morsel> morsels,
+                       SplitMorsels(child_.get(), morsel_pages_));
   const int dop =
       std::min(static_cast<size_t>(dop_), std::max<size_t>(1, morsels.size()));
-
   OperatorStats* stats = mutable_stats();
-  if (ctx->collect_stats) {
-    stats->worker_rows.assign(dop, 0);
-    stats->worker_morsels.assign(dop, 0);
-    stats->worker_batches.assign(dop, 0);
-  }
 
   // Shared governance: one charge ledger and one partition-spill sink
   // for all workers. A worker that cannot create a new group (budget
@@ -797,39 +760,24 @@ Result<std::unique_ptr<storage::RowIterator>> ParallelAggregateOp::OpenImpl(
   // everything (tables and re-aggregated partitions) into one final table.
   MemoryCharge charge(ctx->mem.get(), "Parallel Hash Match (Aggregate)");
   auto spill = std::make_unique<AggSpill>(
-      ctx->tablespace, ctx->spill_partitions, 0, stats);
+      ctx->tablespace, 0, stats);
   AggGovernance gov{&charge, ctx, spill.get(),
                     "Parallel Hash Match (Aggregate)"};
 
-  // Partial phase: workers steal morsels off the shared counter, replay
-  // the stage pipeline over each page range, and accumulate into
-  // thread-local partial tables. Expression trees are immutable and
-  // shared; each worker evaluates through its own EvalContext copy.
+  // Partial phase: workers steal morsels off the shared counter, open the
+  // serial subtree over each one, and accumulate into thread-local partial
+  // tables.
   std::vector<GroupTable> partials;
   partials.reserve(dop);
   for (int w = 0; w < dop; ++w) {
     partials.emplace_back(group_exprs_.size(), aggs_);
   }
-  std::vector<ExecContext> worker_ctx(dop, *ctx);
-  HTG_RETURN_IF_ERROR(ParallelDrainMorsels(
-      ctx->pool, dop, morsels.size(), [&](int worker, size_t m) -> Status {
-        OperatorPtr pipeline =
-            BuildMorselPipeline(table_, morsels[m], stages_);
-        if (ctx->collect_stats) {
-          LinkPipelineStats(pipeline.get(), repr_.get());
-        }
-        HTG_ASSIGN_OR_RETURN(std::unique_ptr<storage::RowIterator> iter,
-                             pipeline->Open(&worker_ctx[worker]));
-        if (ctx->collect_stats) {
-          // Count the rows (and batches) this worker feeds its partial
-          // table, for the per-worker skew lines under the exchange in
-          // ANALYZE output.
-          iter = WrapCounting(std::move(iter), &stats->worker_rows[worker],
-                              &stats->worker_batches[worker]);
-          ++stats->worker_morsels[worker];
-        }
-        return BuildGroups(iter.get(), ctx->batch_rows, group_exprs_, aggs_,
-                           &worker_ctx[worker].eval, &partials[worker], &gov);
+  HTG_RETURN_IF_ERROR(OpenPerMorsel(
+      child_.get(), morsels, dop, ctx, stats,
+      [&](int worker, size_t, ExecContext* wctx,
+          storage::RowIterator* iter) -> Status {
+        return BuildGroups(iter, ctx->batch_rows, group_exprs_, aggs_,
+                           &wctx->eval, &partials[worker], &gov);
       }));
   RecordPeakMem(stats, charge.peak());
 

@@ -19,7 +19,6 @@ struct AggSpec {
   // COUNT(DISTINCT x): deduplicate argument tuples before accumulation.
   bool distinct = false;
 
-  AggSpec Clone() const;
   DataType result_type() const;
   // State factory: the function's column, or with `distinct` set the
   // generic adapter over instances that deduplicate their arguments.
@@ -83,18 +82,17 @@ class StreamAggregateOp : public Operator {
 };
 
 // Parallel partial→final aggregation, the shape of the paper's Fig. 9
-// plan, scheduled at morsel granularity: workers steal page-range morsels
-// of the heap scan from a shared counter, replay the stage pipeline
-// (filter / CROSS APPLY) per morsel, and accumulate into thread-local
+// plan, scheduled at morsel granularity: an exchange over the serial
+// subtree `Filter? -> CrossApply* -> Distribute Streams -> Table Scan`.
+// Workers steal page-range morsels of the heap scan from a shared counter,
+// open the subtree once per morsel, and accumulate into thread-local
 // partial group tables. The final merge is itself parallel — groups are
 // partitioned by hash and each partition merges/finalizes on its own
 // worker — and results stream out of the gather. Requires every aggregate
 // to SupportsMerge().
 class ParallelAggregateOp : public Operator {
  public:
-  ParallelAggregateOp(catalog::TableDef* table,
-                      std::vector<ParallelStage> stages,
-                      std::vector<ExprPtr> group_exprs,
+  ParallelAggregateOp(OperatorPtr child, std::vector<ExprPtr> group_exprs,
                       std::vector<std::string> group_names,
                       std::vector<AggSpec> aggs, int dop, size_t morsel_pages);
 
@@ -102,19 +100,21 @@ class ParallelAggregateOp : public Operator {
   Result<std::unique_ptr<storage::RowIterator>> OpenImpl(ExecContext* ctx) override;
   std::string Describe() const override;
   std::vector<const Operator*> children() const override {
-    return {repr_.get()};
+    return {child_.get()};
   }
-  int64_t EstimateRows() const override;
+  // A global aggregate yields exactly one row; grouped cardinality is
+  // unknown without column statistics.
+  int64_t EstimateRows() const override {
+    return group_exprs_.empty() ? 1 : -1;
+  }
 
  private:
-  catalog::TableDef* table_;
-  std::vector<ParallelStage> stages_;
+  OperatorPtr child_;
   std::vector<ExprPtr> group_exprs_;
   std::vector<AggSpec> aggs_;
   int dop_;
   size_t morsel_pages_;
   Schema schema_;
-  OperatorPtr repr_;  // representative subtree for EXPLAIN
 };
 
 }  // namespace htg::exec

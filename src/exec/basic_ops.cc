@@ -128,30 +128,26 @@ class TopBatchIterator : public BatchIterator {
 
 TableScanOp::TableScanOp(catalog::TableDef* table) : table_(table) {}
 
-TableScanOp::TableScanOp(catalog::TableDef* table, size_t first_page,
-                         size_t end_page)
-    : table_(table),
-      has_range_(true),
-      first_page_(first_page),
-      end_page_(end_page) {}
-
 TableScanOp::TableScanOp(catalog::TableDef* table, storage::KeyRange range)
     : table_(table), seek_(std::move(range)) {}
 
 Result<std::unique_ptr<storage::RowIterator>> TableScanOp::OpenImpl(
     ExecContext* ctx) {
   // MVCC: with a snapshot in the context, bound the scan to the rows the
-  // snapshot sees. This is the single interception point for both serial
-  // plans and morsel pipelines (each morsel is a range-scan clone opened
-  // with a worker copy of the same context).
-  const storage::Snapshot* snap =
-      ctx != nullptr ? ctx->snapshot : nullptr;
+  // snapshot sees. This is the single interception point for serial plans
+  // and for each morsel an exchange worker opens (with its own copy of the
+  // same context).
+  const storage::Snapshot* snap = ctx->snapshot;
+  const std::optional<Morsel>& morsel = ctx->morsel;
   if (auto* clustered =
           dynamic_cast<storage::ClusteredTable*>(table_->table.get())) {
+    if (morsel.has_value()) {
+      return Status::Internal("page-range read of clustered table " +
+                              table_->name);
+    }
     return clustered->NewRangeScan(
         seek_.value_or(storage::KeyRange{}),
-        snap != nullptr ? *snap : storage::Snapshot{},
-        ctx != nullptr ? ctx->txn_id : storage::kFrozenTxn);
+        snap != nullptr ? *snap : storage::Snapshot{}, ctx->txn_id);
   }
   auto* heap = dynamic_cast<storage::HeapTable*>(table_->table.get());
   if (heap == nullptr) {
@@ -162,31 +158,22 @@ Result<std::unique_ptr<storage::RowIterator>> TableScanOp::OpenImpl(
         table_->mvcc->VisibleRows(*snap, ctx->txn_id, heap->num_rows());
     HTG_ASSIGN_OR_RETURN(const storage::HeapTable::PrefixPlan plan,
                          heap->PlanVisiblePrefix(limit));
-    size_t first = 0;
-    size_t end = plan.end_page;
-    if (has_range_) {
-      // Morsels past the visible prefix become empty scans.
-      first = first_page_;
-      if (end_page_ < end) {
-        // The morsel ends before the prefix does: no mid-page cap.
-        return {heap->NewScanRangeCapped(first, end_page_, 0)};
-      }
+    if (!morsel.has_value()) {
+      return {heap->NewScanRangeCapped(0, plan.end_page, plan.tail_rows)};
     }
-    return {heap->NewScanRangeCapped(first, end, plan.tail_rows)};
+    if (morsel->end_page < plan.end_page) {
+      // The morsel ends before the prefix does: no mid-page cap.
+      return {heap->NewScanRangeCapped(morsel->first_page, morsel->end_page,
+                                       0)};
+    }
+    // Morsels past the visible prefix become empty scans.
+    return {heap->NewScanRangeCapped(morsel->first_page, plan.end_page,
+                                     plan.tail_rows)};
   }
-  if (has_range_) return {heap->NewScanRange(first_page_, end_page_)};
+  if (morsel.has_value()) {
+    return {heap->NewScanRange(morsel->first_page, morsel->end_page)};
+  }
   return {heap->NewScan()};
-}
-
-int64_t TableScanOp::EstimateRows() const {
-  const auto rows = static_cast<int64_t>(table_->table->num_rows());
-  if (!has_range_) return rows;
-  // Page-range partition: prorate by the fraction of sealed pages scanned.
-  auto* heap = dynamic_cast<storage::HeapTable*>(table_->table.get());
-  const size_t npages = heap != nullptr ? heap->num_pages_sealed() : 0;
-  if (npages == 0) return rows;
-  const size_t span = end_page_ > first_page_ ? end_page_ - first_page_ : 0;
-  return static_cast<int64_t>(static_cast<uint64_t>(rows) * span / npages);
 }
 
 namespace {
@@ -234,11 +221,7 @@ std::string TableScanOp::Describe() const {
   std::string kind = table_->clustered_key.empty()
                          ? "Table Scan"
                          : "Clustered Index Scan";
-  std::string out = kind + " [" + table_->name + "]";
-  if (has_range_) {
-    out += StringPrintf(" pages [%zu, %zu)", first_page_, end_page_);
-  }
-  return out;
+  return kind + " [" + table_->name + "]";
 }
 
 Result<std::unique_ptr<storage::RowIterator>> ValuesOp::OpenImpl(

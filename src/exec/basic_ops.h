@@ -12,15 +12,13 @@
 
 namespace htg::exec {
 
-// Scan of a base table. Heap scans can be restricted to a page range (the
-// partition unit of parallel plans); clustered scans stream one key range
-// in key order, the whole table unless a seek range is given.
+// Scan of a base table. A heap scan opened under an exchange reads only
+// the page range of the morsel in its ExecContext; clustered scans stream
+// one key range in key order, the whole table unless a seek range is
+// given.
 class TableScanOp : public Operator {
  public:
   explicit TableScanOp(catalog::TableDef* table);
-
-  // Heap page-range partition scan.
-  TableScanOp(catalog::TableDef* table, size_t first_page, size_t end_page);
 
   // Clustered Index Seek: the rows whose clustered keys fall in `range`.
   TableScanOp(catalog::TableDef* table, storage::KeyRange range);
@@ -28,15 +26,14 @@ class TableScanOp : public Operator {
   const Schema& output_schema() const override { return table_->schema; }
   Result<std::unique_ptr<storage::RowIterator>> OpenImpl(ExecContext* ctx) override;
   std::string Describe() const override;
-  int64_t EstimateRows() const override;
+  int64_t EstimateRows() const override {
+    return static_cast<int64_t>(table_->table->num_rows());
+  }
 
   catalog::TableDef* table() const { return table_; }
 
  private:
   catalog::TableDef* table_;
-  bool has_range_ = false;
-  size_t first_page_ = 0;
-  size_t end_page_ = 0;
   std::optional<storage::KeyRange> seek_;
 };
 

@@ -40,12 +40,11 @@ bool MaterializedBatchesIterator::ProduceBatch(RowBatch* batch) {
 }
 
 Status DrainBatches(storage::RowIterator* iter, size_t batch_rows,
-                    std::vector<RowBatch>* out, uint64_t* rows) {
+                    std::vector<RowBatch>* out) {
   for (;;) {
     RowBatch batch(batch_rows);
     if (!iter->NextBatch(&batch)) break;
     if (batch.ActiveRows() == 0) continue;
-    *rows += batch.ActiveRows();
     out->push_back(std::move(batch));
   }
   return iter->status();

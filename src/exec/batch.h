@@ -81,9 +81,8 @@ class MaterializedBatchesIterator : public BatchIterator {
 };
 
 // Drains `iter` into freshly allocated batches of `batch_rows` capacity,
-// appending them to `out` (empty batches are not stored). Adds the live
-// row count to *rows.
+// appending them to `out` (empty batches are not stored).
 Status DrainBatches(storage::RowIterator* iter, size_t batch_rows,
-                    std::vector<RowBatch>* out, uint64_t* rows);
+                    std::vector<RowBatch>* out);
 
 }  // namespace htg::exec

@@ -192,19 +192,18 @@ struct JoinSpillWork {
 // probe rows that a left-outer join must still pad and emit).
 class JoinSpill {
  public:
-  JoinSpill(storage::TableSpace* space, size_t nparts, int level,
-            OperatorStats* stats, bool with_null_run)
+  JoinSpill(storage::TableSpace* space, int level, OperatorStats* stats,
+            bool with_null_run)
       : space_(space),
-        nparts_(nparts == 0 ? 1 : nparts),
         level_(level),
         stats_(stats),
         with_null_run_(with_null_run) {}
 
   Status Open() {
     HTG_ASSIGN_OR_RETURN(file_, storage::SpillFile::Create(space_, "join"));
-    build_writers_.reserve(nparts_);
-    probe_writers_.reserve(nparts_);
-    for (size_t p = 0; p < nparts_; ++p) {
+    build_writers_.reserve(kSpillPartitions);
+    probe_writers_.reserve(kSpillPartitions);
+    for (size_t p = 0; p < kSpillPartitions; ++p) {
       build_writers_.push_back(
           std::make_unique<storage::SpillRunWriter>(file_.get()));
       probe_writers_.push_back(
@@ -222,10 +221,12 @@ class JoinSpill {
   storage::SpillRun TakeNullRun() { return std::move(null_run_); }
 
   Status AddBuild(const Row& key, const Row& row) {
-    return build_writers_[SpillRowHash(key, level_) % nparts_]->Add(row);
+    return build_writers_[SpillRowHash(key, level_) % kSpillPartitions]
+        ->Add(row);
   }
   Status AddProbe(const Row& key, const Row& row) {
-    return probe_writers_[SpillRowHash(key, level_) % nparts_]->Add(row);
+    return probe_writers_[SpillRowHash(key, level_) % kSpillPartitions]
+        ->Add(row);
   }
   Status AddNullProbe(const Row& row) { return null_writer_->Add(row); }
 
@@ -234,7 +235,7 @@ class JoinSpill {
   // never produce output and is dropped here.
   Result<std::vector<JoinSpillWork>> Finish() {
     std::vector<JoinSpillWork> work;
-    for (size_t p = 0; p < nparts_; ++p) {
+    for (size_t p = 0; p < kSpillPartitions; ++p) {
       storage::SpillRun build;
       storage::SpillRun probe;
       if (build_writers_[p]->rows() > 0) {
@@ -268,7 +269,6 @@ class JoinSpill {
   }
 
   storage::TableSpace* space_;
-  size_t nparts_;
   int level_;
   OperatorStats* stats_;
   bool with_null_run_;
@@ -389,9 +389,8 @@ class GraceHashJoinIterator : public storage::RowSource {
       if (!charged.IsResourceExhausted()) return charged;
       // This partition's build side alone busts the budget: push the
       // resident table (and everything still unread) one level deeper.
-      sub = std::make_unique<JoinSpill>(ctx_->tablespace,
-                                        ctx_->spill_partitions, work.level,
-                                        stats_, /*with_null_run=*/false);
+      sub = std::make_unique<JoinSpill>(ctx_->tablespace, work.level, stats_,
+                                        /*with_null_run=*/false);
       HTG_RETURN_IF_ERROR(sub->Open());
       for (auto& [bkey, brows] : build_) {
         for (const Row& brow : brows) {
@@ -715,8 +714,7 @@ Result<std::unique_ptr<storage::RowIterator>> HashJoinOp::OpenImpl(
     if (!ctx->CanSpill()) return SpillUnavailableError(op_name, *ctx->mem);
     // Degrade to a grace hash join: dump the resident build table into
     // hash partitions and keep routing the rest of both inputs there.
-    spill = std::make_unique<JoinSpill>(ctx->tablespace, ctx->spill_partitions,
-                                        /*level=*/0, stats,
+    spill = std::make_unique<JoinSpill>(ctx->tablespace, /*level=*/0, stats,
                                         /*with_null_run=*/left_outer_);
     HTG_RETURN_IF_ERROR(spill->Open());
     for (auto& [bkey, brows] : build) {

@@ -150,7 +150,7 @@ void ExplainAnalyzeRec(const Operator& op, int depth, std::string* out) {
 Result<std::unique_ptr<storage::RowIterator>> Operator::Open(
     ExecContext* ctx) {
   if (!ctx->collect_stats) return OpenImpl(ctx);
-  OperatorStats* stats = sink_;
+  OperatorStats* stats = &stats_;
   Stopwatch sw;
   Result<std::unique_ptr<storage::RowIterator>> result = OpenImpl(ctx);
   stats->open_ns.fetch_add(sw.ElapsedNanos(), std::memory_order_relaxed);

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,12 @@
 #include "types/schema.h"
 
 namespace htg::exec {
+
+// One unit of parallel work: pages [first_page, end_page) of a heap table.
+struct Morsel {
+  size_t first_page = 0;
+  size_t end_page = 0;
+};
 
 // Per-execution state threaded through every operator.
 struct ExecContext {
@@ -34,8 +41,9 @@ struct ExecContext {
   // Where over-budget operators write spill runs; null disables spilling
   // (over-budget statements fail with kResourceExhausted instead).
   storage::TableSpace* tablespace = nullptr;
-  // Fan-out of one partition-spill pass (hash aggregate / hash join).
-  size_t spill_partitions = 16;
+  // Set only in an exchange worker's copy of the context: the heap page
+  // range its one open of the exchange's serial subtree reads.
+  std::optional<Morsel> morsel;
   // MVCC visibility: when set, table scans bound themselves to this
   // snapshot (heap row-count prefix, clustered stamp filter) instead of
   // reading the live table tail. The pointer outlives the statement (it
@@ -62,9 +70,8 @@ struct ExecContext {
       ctx.batch_rows = db->options().ResolvedBatchRows();
       ctx.mem = std::make_shared<MemoryContext>(
           db->options().ResolvedQueryMemBytes(),
-          db->options().ResolvedSpillEnabled());
+          db->options().enable_spill);
       ctx.tablespace = db->tablespace();
-      ctx.spill_partitions = db->options().spill_partitions;
       ctx.eval = db->MakeEvalContext();
     }
     return ctx;
@@ -127,20 +134,17 @@ class Operator {
   // column; negative when unknown.
   virtual int64_t EstimateRows() const { return -1; }
 
-  // Stats are execution telemetry, not plan state: mutable so morsel
-  // pipeline clones can be pointed at the stats of the EXPLAIN tree node
-  // they replay (SetStatsSink), which the renderer walks const.
-  OperatorStats* mutable_stats() const { return sink_; }
-  const OperatorStats& stats() const { return *sink_; }
-  void SetStatsSink(OperatorStats* sink) const { sink_ = sink; }
+  // Execution telemetry, not plan state. An exchange opens its subtree
+  // once per morsel from several workers, and every open accumulates here.
+  OperatorStats* mutable_stats() { return &stats_; }
+  const OperatorStats& stats() const { return stats_; }
 
  protected:
   virtual Result<std::unique_ptr<storage::RowIterator>> OpenImpl(
       ExecContext* ctx) = 0;
 
  private:
-  mutable OperatorStats stats_;
-  mutable OperatorStats* sink_ = &stats_;
+  OperatorStats stats_;
 };
 
 using OperatorPtr = std::unique_ptr<Operator>;

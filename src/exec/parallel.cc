@@ -6,10 +6,8 @@
 #include "common/metrics.h"
 #include "common/string_util.h"
 #include "common/synchronization.h"
-#include "exec/apply_ops.h"
-#include "exec/basic_ops.h"
 #include "exec/batch.h"
-#include "exec/join_ops.h"
+#include "exec/spill_util.h"
 #include "storage/heap_table.h"
 
 namespace htg::exec {
@@ -24,13 +22,12 @@ std::vector<Morsel> MakeMorsels(size_t num_pages, size_t morsel_pages) {
   return morsels;
 }
 
-size_t ChooseMorselPages(size_t num_pages, int dop, size_t max_pages) {
-  if (max_pages == 0) max_pages = kDefaultMorselPages;
+size_t ChooseMorselPages(size_t num_pages, int dop) {
   if (dop < 1) dop = 1;
   // Aim for ~4 morsels per worker so the shared counter can rebalance
   // skew, but never below one page per morsel.
   const size_t target = num_pages / (4 * static_cast<size_t>(dop));
-  return std::max<size_t>(1, std::min(max_pages, std::max<size_t>(1, target)));
+  return std::min(kDefaultMorselPages, std::max<size_t>(1, target));
 }
 
 Status ParallelDrainMorsels(ThreadPool* pool, int dop, size_t num_morsels,
@@ -111,139 +108,23 @@ Status ParallelDrainMorsels(ThreadPool* pool, int dop, size_t num_morsels,
 }
 
 // --------------------------------------------------------------------------
-// Pipeline stages.
-// --------------------------------------------------------------------------
-
-ParallelStage ParallelStage::Clone() const {
-  ParallelStage copy;
-  copy.kind = kind;
-  if (predicate != nullptr) copy.predicate = predicate->Clone();
-  copy.exprs.reserve(exprs.size());
-  for (const ExprPtr& e : exprs) copy.exprs.push_back(e->Clone());
-  copy.names = names;
-  copy.fn = fn;
-  copy.args.reserve(args.size());
-  for (const ExprPtr& a : args) copy.args.push_back(a->Clone());
-  copy.fn_schema = fn_schema;
-  return copy;
-}
-
-ParallelStage ParallelStage::Filter(ExprPtr predicate) {
-  ParallelStage stage;
-  stage.kind = Kind::kFilter;
-  stage.predicate = std::move(predicate);
-  return stage;
-}
-
-ParallelStage ParallelStage::Project(std::vector<ExprPtr> exprs,
-                                     std::vector<std::string> names) {
-  ParallelStage stage;
-  stage.kind = Kind::kProject;
-  stage.exprs = std::move(exprs);
-  stage.names = std::move(names);
-  return stage;
-}
-
-ParallelStage ParallelStage::Apply(const udf::TableFunction* fn,
-                                   std::vector<ExprPtr> args,
-                                   Schema fn_schema) {
-  ParallelStage stage;
-  stage.kind = Kind::kApply;
-  stage.fn = fn;
-  stage.args = std::move(args);
-  stage.fn_schema = std::move(fn_schema);
-  return stage;
-}
-
-std::vector<ParallelStage> CloneStages(const std::vector<ParallelStage>& s) {
-  std::vector<ParallelStage> out;
-  out.reserve(s.size());
-  for (const ParallelStage& stage : s) out.push_back(stage.Clone());
-  return out;
-}
-
-namespace {
-
-OperatorPtr ApplyStages(OperatorPtr op,
-                        const std::vector<ParallelStage>& stages) {
-  for (const ParallelStage& stage : stages) {
-    switch (stage.kind) {
-      case ParallelStage::Kind::kFilter:
-        op = std::make_unique<FilterOp>(std::move(op),
-                                        stage.predicate->Clone());
-        break;
-      case ParallelStage::Kind::kProject: {
-        std::vector<ExprPtr> exprs;
-        exprs.reserve(stage.exprs.size());
-        for (const ExprPtr& e : stage.exprs) exprs.push_back(e->Clone());
-        op = std::make_unique<ProjectOp>(std::move(op), std::move(exprs),
-                                         stage.names);
-        break;
-      }
-      case ParallelStage::Kind::kApply: {
-        std::vector<ExprPtr> args;
-        args.reserve(stage.args.size());
-        for (const ExprPtr& a : stage.args) args.push_back(a->Clone());
-        op = std::make_unique<CrossApplyOp>(std::move(op), stage.fn,
-                                            std::move(args), stage.fn_schema);
-        break;
-      }
-    }
-  }
-  return op;
-}
-
-}  // namespace
-
-OperatorPtr BuildMorselPipeline(catalog::TableDef* table, const Morsel& morsel,
-                                const std::vector<ParallelStage>& stages) {
-  OperatorPtr op =
-      std::make_unique<TableScanOp>(table, morsel.first_page, morsel.end_page);
-  return ApplyStages(std::move(op), stages);
-}
-
-Schema PipelineSchema(catalog::TableDef* table,
-                      const std::vector<ParallelStage>& stages) {
-  Schema schema = table->schema;
-  for (const ParallelStage& stage : stages) {
-    switch (stage.kind) {
-      case ParallelStage::Kind::kFilter:
-        break;
-      case ParallelStage::Kind::kProject: {
-        Schema next;
-        for (size_t i = 0; i < stage.exprs.size(); ++i) {
-          Column col;
-          col.name = i < stage.names.size() ? stage.names[i]
-                                            : StringPrintf("col%zu", i);
-          col.type = stage.exprs[i]->result_type();
-          next.AddColumn(col);
-        }
-        schema = std::move(next);
-        break;
-      }
-      case ParallelStage::Kind::kApply:
-        schema = ConcatSchemas(schema, stage.fn_schema);
-        break;
-    }
-  }
-  return schema;
-}
-
-// --------------------------------------------------------------------------
 // DistributeStreamsOp.
 // --------------------------------------------------------------------------
 
-DistributeStreamsOp::DistributeStreamsOp(OperatorPtr child, int dop,
-                                         size_t morsel_pages)
-    : child_(std::move(child)),
+DistributeStreamsOp::DistributeStreamsOp(std::unique_ptr<TableScanOp> scan,
+                                         int dop, size_t morsel_pages)
+    : scan_(std::move(scan)),
       dop_(dop < 1 ? 1 : dop),
       morsel_pages_(morsel_pages) {}
 
 Result<std::unique_ptr<storage::RowIterator>> DistributeStreamsOp::OpenImpl(
-    ExecContext*) {
-  return Status::Internal(
-      "Distribute Streams is an EXPLAIN marker; exchange operators open "
-      "their morsel pipelines directly");
+    ExecContext* ctx) {
+  if (!ctx->morsel.has_value()) {
+    return Status::Internal(
+        "Distribute Streams opened outside an exchange (no morsel in the "
+        "context)");
+  }
+  return scan_->Open(ctx);
 }
 
 std::string DistributeStreamsOp::Describe() const {
@@ -252,127 +133,108 @@ std::string DistributeStreamsOp::Describe() const {
       morsel_pages_);
 }
 
-OperatorPtr BuildExplainPipeline(catalog::TableDef* table,
-                                 const std::vector<ParallelStage>& stages,
-                                 int dop, size_t morsel_pages) {
-  auto* heap = dynamic_cast<storage::HeapTable*>(table->table.get());
-  const size_t npages = heap != nullptr ? heap->num_pages_sealed() : 0;
-  OperatorPtr op = std::make_unique<TableScanOp>(table, 0, npages);
-  op = std::make_unique<DistributeStreamsOp>(std::move(op), dop, morsel_pages);
-  return ApplyStages(std::move(op), stages);
+Result<std::vector<Morsel>> SplitMorsels(const Operator* subtree,
+                                         size_t morsel_pages) {
+  const Operator* op = subtree;
+  const DistributeStreamsOp* distribute = nullptr;
+  while (op != nullptr && distribute == nullptr) {
+    distribute = dynamic_cast<const DistributeStreamsOp*>(op);
+    const std::vector<const Operator*> kids = op->children();
+    op = kids.size() == 1 ? kids[0] : nullptr;
+  }
+  auto* heap = distribute == nullptr ? nullptr
+                                     : dynamic_cast<storage::HeapTable*>(
+                                           distribute->table()->table.get());
+  if (heap == nullptr) {
+    return Status::Internal(
+        "exchange without a Distribute Streams over a heap scan below it");
+  }
+  HTG_RETURN_IF_ERROR(heap->SealCurrentPage());
+  return MakeMorsels(heap->num_pages_sealed(), morsel_pages);
 }
 
-void LinkPipelineStats(const Operator* pipeline, const Operator* repr) {
-  while (pipeline != nullptr && repr != nullptr) {
-    if (dynamic_cast<const DistributeStreamsOp*>(repr) != nullptr) {
-      const std::vector<const Operator*> kids = repr->children();
-      repr = kids.empty() ? nullptr : kids[0];
-      continue;
-    }
-    pipeline->SetStatsSink(repr->mutable_stats());
-    const std::vector<const Operator*> pkids = pipeline->children();
-    const std::vector<const Operator*> rkids = repr->children();
-    pipeline = pkids.empty() ? nullptr : pkids[0];
-    repr = rkids.empty() ? nullptr : rkids[0];
+Status OpenPerMorsel(
+    Operator* subtree, const std::vector<Morsel>& morsels, int dop,
+    ExecContext* ctx, OperatorStats* stats,
+    const std::function<Status(int, size_t, ExecContext*,
+                               storage::RowIterator*)>& consume) {
+  if (ctx->collect_stats) {
+    stats->worker_rows.assign(dop, 0);
+    stats->worker_morsels.assign(dop, 0);
+    stats->worker_batches.assign(dop, 0);
   }
+  // Each worker evaluates expressions through its own EvalContext copy;
+  // the subtree's operators and expression trees are shared read-only.
+  std::vector<ExecContext> worker_ctx(dop, *ctx);
+  return ParallelDrainMorsels(
+      ctx->pool, dop, morsels.size(), [&](int worker, size_t m) -> Status {
+        ExecContext* wctx = &worker_ctx[worker];
+        wctx->morsel = morsels[m];
+        HTG_ASSIGN_OR_RETURN(std::unique_ptr<storage::RowIterator> iter,
+                             subtree->Open(wctx));
+        if (ctx->collect_stats) {
+          // The rows (and batches) this worker feeds the exchange, for the
+          // per-worker skew lines under it in ANALYZE output.
+          iter = WrapCounting(std::move(iter), &stats->worker_rows[worker],
+                              &stats->worker_batches[worker]);
+          ++stats->worker_morsels[worker];
+        }
+        return consume(worker, m, wctx, iter.get());
+      });
 }
 
 // --------------------------------------------------------------------------
 // ParallelMapOp.
 // --------------------------------------------------------------------------
 
-ParallelMapOp::ParallelMapOp(catalog::TableDef* table,
-                             std::vector<ParallelStage> stages, int dop,
-                             size_t morsel_pages, bool preserve_order)
-    : table_(table),
-      stages_(std::move(stages)),
+ParallelMapOp::ParallelMapOp(OperatorPtr child, int dop, size_t morsel_pages)
+    : child_(std::move(child)),
       dop_(dop < 1 ? 1 : dop),
-      morsel_pages_(morsel_pages == 0 ? kDefaultMorselPages : morsel_pages),
-      preserve_order_(preserve_order),
-      schema_(PipelineSchema(table_, stages_)),
-      repr_(BuildExplainPipeline(table_, stages_, dop_, morsel_pages_)) {}
-
-int64_t ParallelMapOp::EstimateRows() const {
-  // Scan cardinality; filter/apply stages make the true fan-out unknown,
-  // so only a bare pipeline keeps the estimate.
-  return stages_.empty() ? static_cast<int64_t>(table_->table->num_rows())
-                         : -1;
-}
+      morsel_pages_(morsel_pages == 0 ? kDefaultMorselPages : morsel_pages) {}
 
 Result<std::unique_ptr<storage::RowIterator>> ParallelMapOp::OpenImpl(
     ExecContext* ctx) {
-  auto* heap = dynamic_cast<storage::HeapTable*>(table_->table.get());
-  if (heap == nullptr) {
-    return Status::Internal("parallel map over non-heap table " +
-                            table_->name);
-  }
-  HTG_RETURN_IF_ERROR(heap->SealCurrentPage());
-  const std::vector<Morsel> morsels =
-      MakeMorsels(heap->num_pages_sealed(), morsel_pages_);
+  HTG_ASSIGN_OR_RETURN(const std::vector<Morsel> morsels,
+                       SplitMorsels(child_.get(), morsel_pages_));
   const int dop = std::min<size_t>(dop_, std::max<size_t>(1, morsels.size()));
-
   OperatorStats* stats = mutable_stats();
-  if (ctx->collect_stats) {
-    stats->worker_rows.assign(dop, 0);
-    stats->worker_morsels.assign(dop, 0);
-    stats->worker_batches.assign(dop, 0);
-  }
 
   // Workers drain morsels into per-morsel RowBatch buffers, so rows cross
-  // the exchange without converting to row form; each worker evaluates
-  // expressions through its own EvalContext copy.
-  std::vector<ExecContext> worker_ctx(dop, *ctx);
+  // the exchange without converting to row form. The buffers hold the
+  // whole output until the gather, so they are charged to the query (as
+  // they fill, unchecked: the gather never fails or spills on them).
+  MemoryCharge charge(ctx->mem.get(), "Gather Streams");
   std::vector<std::vector<RowBatch>> buffers(morsels.size());
-  std::vector<size_t> done_order;  // completion order of morsel indexes
-  Mutex done_mu;  // guards done_order until the drain barrier; the
-                  // gather loop below reads it quiescently afterwards
-  done_order.reserve(morsels.size());
-  HTG_RETURN_IF_ERROR(ParallelDrainMorsels(
-      ctx->pool, dop, morsels.size(), [&](int worker, size_t m) -> Status {
-        OperatorPtr pipeline =
-            BuildMorselPipeline(table_, morsels[m], stages_);
-        if (ctx->collect_stats) {
-          LinkPipelineStats(pipeline.get(), repr_.get());
+  HTG_RETURN_IF_ERROR(OpenPerMorsel(
+      child_.get(), morsels, dop, ctx, stats,
+      [&](int, size_t m, ExecContext* wctx,
+          storage::RowIterator* iter) -> Status {
+        HTG_RETURN_IF_ERROR(DrainBatches(iter, wctx->batch_rows, &buffers[m]));
+        size_t bytes = 0;
+        for (const RowBatch& batch : buffers[m]) {
+          bytes += ApproxBatchBytes(batch);
         }
-        HTG_ASSIGN_OR_RETURN(std::unique_ptr<storage::RowIterator> iter,
-                             pipeline->Open(&worker_ctx[worker]));
-        uint64_t morsel_rows = 0;
-        HTG_RETURN_IF_ERROR(DrainBatches(iter.get(), ctx->batch_rows,
-                                         &buffers[m], &morsel_rows));
-        if (ctx->collect_stats) {
-          stats->worker_rows[worker] += morsel_rows;
-          stats->worker_batches[worker] += buffers[m].size();
-          ++stats->worker_morsels[worker];
-        }
-        if (!preserve_order_) {
-          MutexLock lock(&done_mu);
-          done_order.push_back(m);
-        }
+        charge.AddUnchecked(bytes);
         return Status::OK();
       }));
+  RecordPeakMem(stats, charge.peak());
 
+  // Gather in morsel order: output matches the serial heap scan order.
   size_t total = 0;
   for (const std::vector<RowBatch>& b : buffers) total += b.size();
   std::vector<RowBatch> batches;
   batches.reserve(total);
-  if (preserve_order_) {
-    // Gather in morsel order: output matches the serial heap scan order.
-    for (std::vector<RowBatch>& b : buffers) {
-      for (RowBatch& batch : b) batches.push_back(std::move(batch));
-      b.clear();
-    }
-  } else {
-    for (size_t m : done_order) {
-      for (RowBatch& batch : buffers[m]) batches.push_back(std::move(batch));
-      buffers[m].clear();
-    }
+  for (std::vector<RowBatch>& b : buffers) {
+    for (RowBatch& batch : b) batches.push_back(std::move(batch));
+    b.clear();
   }
-  return {std::make_unique<MaterializedBatchesIterator>(std::move(batches))};
+  return {std::make_unique<ChargedBatchesIterator>(std::move(batches),
+                                                   std::move(charge))};
 }
 
 std::string ParallelMapOp::Describe() const {
-  return StringPrintf("Parallelism (Gather Streams) [DOP=%d%s]", dop_,
-                      preserve_order_ ? ", order preserving" : "");
+  return StringPrintf(
+      "Parallelism (Gather Streams) [DOP=%d, order preserving]", dop_);
 }
 
 }  // namespace htg::exec

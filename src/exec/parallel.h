@@ -5,9 +5,8 @@
 #include <string>
 #include <vector>
 
-#include "catalog/table_def.h"
+#include "exec/basic_ops.h"
 #include "exec/operator.h"
-#include "udf/function.h"
 
 namespace htg::exec {
 
@@ -19,12 +18,6 @@ namespace htg::exec {
 // partitioning stalled on the unlucky partition.
 // ---------------------------------------------------------------------------
 
-// One unit of parallel work: pages [first_page, end_page) of a heap table.
-struct Morsel {
-  size_t first_page = 0;
-  size_t end_page = 0;
-};
-
 // Default morsel size. Chosen so a morsel is a few hundred KB of pages:
 // big enough to amortize per-morsel pipeline setup, small enough that
 // DOP workers stay busy until the very end of the scan.
@@ -34,10 +27,10 @@ inline constexpr size_t kDefaultMorselPages = 32;
 // may be short). Empty input yields no morsels.
 std::vector<Morsel> MakeMorsels(size_t num_pages, size_t morsel_pages);
 
-// Picks a morsel size for a table of `num_pages` pages: the configured
-// `max_pages` cap, shrunk so that `dop` workers see several morsels each
-// (work stealing needs slack to balance).
-size_t ChooseMorselPages(size_t num_pages, int dop, size_t max_pages);
+// Picks a morsel size for a table of `num_pages` pages: kDefaultMorselPages,
+// shrunk so that `dop` workers see several morsels each (work stealing
+// needs slack to balance).
+size_t ChooseMorselPages(size_t num_pages, int dop);
 
 // Runs fn(worker, morsel) for every morsel index in [0, num_morsels),
 // drained from a shared counter by `dop` workers. Worker ids are dense in
@@ -50,53 +43,73 @@ Status ParallelDrainMorsels(ThreadPool* pool, int dop, size_t num_morsels,
                             const std::function<Status(int, size_t)>& fn);
 
 // ---------------------------------------------------------------------------
-// Morsel pipelines: a restricted, cloneable description of the
-// scan→filter→project→CROSS APPLY operator chains that exchange operators
-// replay once per morsel.
+// Exchanges. A parallel plan is the serial plan with two markers in it: an
+// exchange ("Gather Streams") over the serial subtree
+// `Filter? -> CrossApply* -> Distribute Streams -> Table Scan`. The
+// exchange opens that one subtree once per morsel, each time with a worker
+// copy of the ExecContext carrying the morsel; the scan reads only the
+// morsel's pages. Plan nodes are immutable and their stats atomic, so the
+// concurrent opens need no per-morsel operators and accumulate into the
+// one tree EXPLAIN ANALYZE renders.
 // ---------------------------------------------------------------------------
 
-struct ParallelStage {
-  enum class Kind { kFilter, kProject, kApply };
-
-  Kind kind = Kind::kFilter;
-  // kFilter.
-  ExprPtr predicate;
-  // kProject.
-  std::vector<ExprPtr> exprs;
-  std::vector<std::string> names;
-  // kApply.
-  const udf::TableFunction* fn = nullptr;
-  std::vector<ExprPtr> args;
-  Schema fn_schema;
-
-  ParallelStage Clone() const;
-
-  static ParallelStage Filter(ExprPtr predicate);
-  static ParallelStage Project(std::vector<ExprPtr> exprs,
-                               std::vector<std::string> names);
-  static ParallelStage Apply(const udf::TableFunction* fn,
-                             std::vector<ExprPtr> args, Schema fn_schema);
-};
-
-std::vector<ParallelStage> CloneStages(const std::vector<ParallelStage>& s);
-
-// Builds the per-morsel operator chain: a page-range scan of `table`
-// wrapped by each stage in order.
-OperatorPtr BuildMorselPipeline(catalog::TableDef* table, const Morsel& morsel,
-                                const std::vector<ParallelStage>& stages);
-
-// Output schema of a pipeline over `table` (after every stage).
-Schema PipelineSchema(catalog::TableDef* table,
-                      const std::vector<ParallelStage>& stages);
-
-// EXPLAIN-only marker for the worker side of an exchange: prints
-// "Parallelism (Distribute Streams)" above the scan it wraps, mirroring
-// the SQL Server showplan the paper reproduces. Never opened at runtime.
-// `dop` is the effective degree (already clamped to the morsel count at
-// plan time), so EXPLAIN output is deterministic and golden-testable.
+// The worker side of an exchange: "Parallelism (Distribute Streams)" over
+// the heap scan it splits into morsels, mirroring the SQL Server showplan
+// the paper reproduces. At run time it passes its scan through; opening it
+// without a morsel in the context (outside an exchange) is an Internal
+// error. `dop` is the effective degree (already clamped to the morsel count
+// at plan time), so EXPLAIN output is deterministic and golden-testable.
 class DistributeStreamsOp : public Operator {
  public:
-  DistributeStreamsOp(OperatorPtr child, int dop, size_t morsel_pages);
+  DistributeStreamsOp(std::unique_ptr<TableScanOp> scan, int dop,
+                      size_t morsel_pages);
+
+  const Schema& output_schema() const override {
+    return scan_->output_schema();
+  }
+  Result<std::unique_ptr<storage::RowIterator>> OpenImpl(ExecContext* ctx) override;
+  std::string Describe() const override;
+  std::vector<const Operator*> children() const override {
+    return {scan_.get()};
+  }
+  int64_t EstimateRows() const override { return scan_->EstimateRows(); }
+
+  catalog::TableDef* table() const { return scan_->table(); }
+
+ private:
+  std::unique_ptr<TableScanOp> scan_;
+  int dop_;
+  size_t morsel_pages_;
+};
+
+// Finds the Distribute Streams marker at the bottom of an exchange's
+// serial subtree (a chain of single-child operators), seals its heap's
+// open page and splits the heap into morsels of `morsel_pages` pages.
+// Internal when the subtree has no marker over a heap.
+Result<std::vector<Morsel>> SplitMorsels(const Operator* subtree,
+                                         size_t morsel_pages);
+
+// The exchange's run loop: `dop` workers drain `morsels` off a shared
+// counter; each opens `subtree` with its own copy of `ctx` carrying the
+// morsel and hands the stream to consume(worker, morsel index, worker
+// context, stream). Under collect_stats, `stats` gets each worker's
+// morsel, row and batch counts.
+Status OpenPerMorsel(
+    Operator* subtree, const std::vector<Morsel>& morsels, int dop,
+    ExecContext* ctx, OperatorStats* stats,
+    const std::function<Status(int, size_t, ExecContext*,
+                               storage::RowIterator*)>& consume);
+
+// ---------------------------------------------------------------------------
+// ParallelMapOp ("Parallelism (Gather Streams)" over a stateless
+// pipeline): runs its serial subtree per morsel on DOP workers and gathers
+// the result rows in morsel (i.e. heap) order, so the output matches the
+// serial plan's. This is what parallelizes the CROSS APPLY read-alignment
+// pipelines end to end.
+// ---------------------------------------------------------------------------
+class ParallelMapOp : public Operator {
+ public:
+  ParallelMapOp(OperatorPtr child, int dop, size_t morsel_pages);
 
   const Schema& output_schema() const override {
     return child_->output_schema();
@@ -114,47 +127,4 @@ class DistributeStreamsOp : public Operator {
   size_t morsel_pages_;
 };
 
-// Points each operator of a morsel pipeline at the stats sink of its
-// counterpart in the EXPLAIN representative tree, so every morsel replay
-// accumulates into the single tree EXPLAIN ANALYZE renders. The repr tree
-// differs only by the Distribute Streams marker, which is skipped.
-void LinkPipelineStats(const Operator* pipeline, const Operator* repr);
-
-// ---------------------------------------------------------------------------
-// ParallelMapOp ("Parallelism (Gather Streams)" over a stateless pipeline):
-// runs the stage pipeline per-morsel on DOP workers and gathers the result
-// rows — in morsel (i.e. heap) order when `preserve_order` is set, in
-// completion order otherwise. This is what parallelizes the CROSS APPLY
-// read-alignment pipelines end to end.
-// ---------------------------------------------------------------------------
-class ParallelMapOp : public Operator {
- public:
-  ParallelMapOp(catalog::TableDef* table, std::vector<ParallelStage> stages,
-                int dop, size_t morsel_pages, bool preserve_order);
-
-  const Schema& output_schema() const override { return schema_; }
-  Result<std::unique_ptr<storage::RowIterator>> OpenImpl(ExecContext* ctx) override;
-  std::string Describe() const override;
-  std::vector<const Operator*> children() const override {
-    return {repr_.get()};
-  }
-  int64_t EstimateRows() const override;
-
- private:
-  catalog::TableDef* table_;
-  std::vector<ParallelStage> stages_;
-  int dop_;
-  size_t morsel_pages_;
-  bool preserve_order_;
-  Schema schema_;
-  OperatorPtr repr_;  // representative subtree for EXPLAIN
-};
-
-// Builds the EXPLAIN subtree shared by the exchange operators: the stage
-// chain over a Distribute Streams marker over a full-range scan.
-OperatorPtr BuildExplainPipeline(catalog::TableDef* table,
-                                 const std::vector<ParallelStage>& stages,
-                                 int dop, size_t morsel_pages);
-
 }  // namespace htg::exec
-

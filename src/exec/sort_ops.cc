@@ -188,9 +188,7 @@ Result<std::unique_ptr<storage::RowIterator>> OpenSorted(
         key_cols[k].push_back(std::move(v));
       }
     }
-    for (size_t c = 0; c < batch.num_columns(); ++c) {
-      for (const Value& v : batch.column(c)) bytes += v.ApproxBytes();
-    }
+    bytes += ApproxBatchBytes(batch);
     for (size_t r = 0; r < n; ++r) {
       at.emplace_back(static_cast<uint32_t>(batches.size()),
                       static_cast<uint32_t>(r));

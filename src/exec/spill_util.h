@@ -19,6 +19,10 @@ namespace htg::exec {
 // gives up with kResourceExhausted instead of looping.
 inline constexpr int kMaxSpillDepth = 8;
 
+// Fan-out of one partition-spill pass (hash aggregate / hash join): the
+// runs each spilled input is hashed into.
+inline constexpr size_t kSpillPartitions = 16;
+
 // Hash of a key row salted by spill recursion level: keys that collide
 // into one partition at level N scatter across partitions at level N+1.
 inline size_t SpillRowHash(const Row& key, int level) {

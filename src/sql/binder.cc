@@ -78,11 +78,13 @@ struct Binder::BindContext {
 struct Binder::FromResult {
   OperatorPtr op;
   Scope scope;
-  // Set when the FROM clause is one heap base table, optionally extended
-  // by CROSS APPLY table functions (recorded in `apply_stages`): the
-  // morsel-parallel plan candidates. A regular join clears it.
-  catalog::TableDef* pipeline_heap = nullptr;
-  std::vector<exec::ParallelStage> apply_stages;
+};
+
+// A morsel-parallel plan: the heap FROM table, the DOP and the morsel size.
+struct Binder::MorselPlan {
+  catalog::TableDef* table = nullptr;
+  int dop = 1;
+  size_t morsel_pages = 1;
 };
 
 namespace {
@@ -344,7 +346,6 @@ Result<Binder::FromResult> Binder::BindTableRef(const TableRef& ref) {
       out.op = std::make_unique<exec::TableScanOp>(table);
       const std::string alias = ref.alias.empty() ? ref.name : ref.alias;
       out.scope.Append(alias, table->schema);
-      if (table->clustered_key.empty()) out.pipeline_heap = table;
       return out;
     }
     case TableRef::Kind::kTvf: {
@@ -388,7 +389,36 @@ Result<Binder::FromResult> Binder::BindTableRef(const TableRef& ref) {
   return Status::Internal("bad table reference");
 }
 
-Result<Binder::FromResult> Binder::BindFrom(const SelectStmt& stmt) {
+Result<std::optional<Binder::MorselPlan>> Binder::PlanParallel(
+    const SelectStmt& stmt, bool worth_exchange) {
+  const DatabaseOptions& options = db_->options();
+  if (!worth_exchange || options.max_dop <= 1 ||
+      stmt.from.kind != TableRef::Kind::kTable) {
+    return {std::nullopt};
+  }
+  for (const JoinClause& jc : stmt.joins) {
+    if (!jc.cross_apply) return {std::nullopt};
+  }
+  HTG_ASSIGN_OR_RETURN(catalog::TableDef * table,
+                       db_->GetTable(stmt.from.name));
+  auto* heap = dynamic_cast<storage::HeapTable*>(table->table.get());
+  if (heap == nullptr || heap->num_rows() < options.parallel_threshold) {
+    return {std::nullopt};
+  }
+  HTG_RETURN_IF_ERROR(heap->SealCurrentPage());
+  const size_t npages = heap->num_pages_sealed();
+  MorselPlan plan;
+  plan.table = table;
+  plan.morsel_pages = exec::ChooseMorselPages(npages, options.max_dop);
+  const size_t nmorsels =
+      (npages + plan.morsel_pages - 1) / plan.morsel_pages;
+  plan.dop = static_cast<int>(std::min<size_t>(
+      static_cast<size_t>(options.max_dop), std::max<size_t>(1, nmorsels)));
+  return {plan};
+}
+
+Result<Binder::FromResult> Binder::BindFrom(const SelectStmt& stmt,
+                                            const MorselPlan* parallel) {
   if (stmt.from.kind == TableRef::Kind::kNone) {
     // SELECT without FROM: a single empty row.
     FromResult out;
@@ -398,6 +428,13 @@ Result<Binder::FromResult> Binder::BindFrom(const SelectStmt& stmt) {
     return out;
   }
   HTG_ASSIGN_OR_RETURN(FromResult left, BindTableRef(stmt.from));
+  if (parallel != nullptr) {
+    // The worker side of the exchange: Distribute Streams over the heap
+    // scan whose pages each morsel narrows.
+    left.op = std::make_unique<exec::DistributeStreamsOp>(
+        std::make_unique<exec::TableScanOp>(parallel->table), parallel->dop,
+        parallel->morsel_pages);
+  }
 
   for (const JoinClause& jc : stmt.joins) {
     if (jc.cross_apply) {
@@ -419,24 +456,12 @@ Result<Binder::FromResult> Binder::BindFrom(const SelectStmt& stmt) {
       const std::string alias =
           jc.ref.alias.empty() ? jc.ref.name : jc.ref.alias;
       left.scope.Append(alias, fn_schema);
-      if (left.pipeline_heap != nullptr) {
-        // The pipeline stays morsel-parallelizable: record the apply as a
-        // replayable stage alongside the serial plan.
-        std::vector<ExprPtr> arg_clones;
-        arg_clones.reserve(args.size());
-        for (const ExprPtr& a : args) arg_clones.push_back(a->Clone());
-        left.apply_stages.push_back(exec::ParallelStage::Apply(
-            fn, std::move(arg_clones), fn_schema));
-      }
       left.op = std::make_unique<exec::CrossApplyOp>(
           std::move(left.op), fn, std::move(args), std::move(fn_schema));
       continue;
     }
 
-    // Regular inner join: the two-sided input is no longer a single
-    // heap-rooted pipeline.
-    left.pipeline_heap = nullptr;
-    left.apply_stages.clear();
+    // Regular inner join.
     HTG_ASSIGN_OR_RETURN(FromResult right, BindTableRef(jc.ref));
     const int left_width = static_cast<int>(left.scope.cols.size());
 
@@ -628,26 +653,6 @@ void Tighten(std::optional<SeekBound>* cur, SeekBound next, bool lower) {
   *cur = std::move(next);
 }
 
-// DOP and morsel size for a morsel-parallel plan over `heap`. The heap's
-// current page must already be sealed.
-struct MorselPlan {
-  int dop = 1;
-  size_t morsel_pages = 1;
-};
-
-MorselPlan PlanMorsels(const storage::HeapTable* heap,
-                       const DatabaseOptions& options) {
-  const size_t npages = heap->num_pages_sealed();
-  MorselPlan plan;
-  plan.morsel_pages =
-      exec::ChooseMorselPages(npages, options.max_dop, options.morsel_pages);
-  const size_t nmorsels =
-      (npages + plan.morsel_pages - 1) / plan.morsel_pages;
-  plan.dop = static_cast<int>(std::min<size_t>(
-      static_cast<size_t>(options.max_dop), std::max<size_t>(1, nmorsels)));
-  return plan;
-}
-
 }  // namespace
 
 // Clustered Index Seek: when FROM is one clustered table alone, the
@@ -734,21 +739,6 @@ OperatorPtr Binder::BindSeek(const SelectStmt& stmt,
 }
 
 Result<OperatorPtr> Binder::BindSelect(const SelectStmt& stmt) {
-  HTG_ASSIGN_OR_RETURN(FromResult from, BindFrom(stmt));
-  Scope scope = std::move(from.scope);
-  OperatorPtr plan = std::move(from.op);
-  if (OperatorPtr seek = BindSeek(stmt, *plan, scope)) plan = std::move(seek);
-
-  BindContext pre_ctx;
-  pre_ctx.scope = &scope;
-  pre_ctx.db = db_;
-
-  // WHERE.
-  ExprPtr where;
-  if (stmt.where != nullptr) {
-    HTG_ASSIGN_OR_RETURN(where, BindExpr(*stmt.where, pre_ctx));
-  }
-
   // Collect aggregates and window calls from the output clauses.
   std::vector<const AstExpr*> agg_calls;
   std::vector<const AstExpr*> window_calls;
@@ -781,8 +771,40 @@ Result<OperatorPtr> Binder::BindSelect(const SelectStmt& stmt) {
   }
 
   const bool has_agg = !agg_calls.empty() || !group_by.empty();
-  AggScope agg_scope;
 
+  // Parallel plan: the FROM heap is scanned by morsels under an exchange
+  // when the query is an aggregate whose every aggregate merges, or when a
+  // CROSS APPLY makes the per-row work worth the exchange.
+  const udf::FunctionRegistry& registry = *db_->functions();
+  const bool worth_exchange =
+      has_agg ? std::all_of(agg_calls.begin(), agg_calls.end(),
+                            [&](const AstExpr* call) {
+                              return registry.FindAggregate(call->call_name)
+                                  ->SupportsMerge();
+                            })
+              : std::any_of(
+                    stmt.joins.begin(), stmt.joins.end(),
+                    [](const JoinClause& jc) { return jc.cross_apply; });
+  HTG_ASSIGN_OR_RETURN(const std::optional<MorselPlan> parallel,
+                       PlanParallel(stmt, worth_exchange));
+
+  HTG_ASSIGN_OR_RETURN(FromResult from,
+                       BindFrom(stmt, parallel ? &*parallel : nullptr));
+  Scope scope = std::move(from.scope);
+  OperatorPtr plan = std::move(from.op);
+  if (OperatorPtr seek = BindSeek(stmt, *plan, scope)) plan = std::move(seek);
+
+  BindContext pre_ctx;
+  pre_ctx.scope = &scope;
+  pre_ctx.db = db_;
+
+  // WHERE, below any aggregate and inside the exchange's serial subtree.
+  if (stmt.where != nullptr) {
+    HTG_ASSIGN_OR_RETURN(ExprPtr where, BindExpr(*stmt.where, pre_ctx));
+    plan = std::make_unique<exec::FilterOp>(std::move(plan), std::move(where));
+  }
+
+  AggScope agg_scope;
   if (has_agg) {
     // Bind GROUP BY expressions and aggregate arguments over the input.
     std::vector<ExprPtr> group_exprs;
@@ -815,74 +837,20 @@ Result<OperatorPtr> Binder::BindSelect(const SelectStmt& stmt) {
     agg_scope.schema =
         exec::MakeAggregateSchema(group_exprs, group_names, specs);
 
-    // Parallel plan: heap-rooted scan/filter/apply pipeline, big enough,
-    // mergeable aggs.
-    bool parallel = from.pipeline_heap != nullptr &&
-                    db_->options().max_dop > 1 &&
-                    from.pipeline_heap->table->num_rows() >=
-                        db_->options().parallel_threshold;
-    for (const exec::AggSpec& s : specs) {
-      parallel = parallel && s.fn->SupportsMerge();
-    }
-    auto* heap = from.pipeline_heap == nullptr
-                     ? nullptr
-                     : dynamic_cast<storage::HeapTable*>(
-                           from.pipeline_heap->table.get());
-    parallel = parallel && heap != nullptr;
-
     if (parallel) {
-      HTG_RETURN_IF_ERROR(heap->SealCurrentPage());
-      const MorselPlan mp = PlanMorsels(heap, db_->options());
-      // Stage order matches the serial plan: CROSS APPLY stages from the
-      // FROM clause, then the WHERE filter over the widened rows.
-      std::vector<exec::ParallelStage> stages =
-          exec::CloneStages(from.apply_stages);
-      if (where != nullptr) {
-        stages.push_back(exec::ParallelStage::Filter(where->Clone()));
-      }
-      std::vector<exec::AggSpec> spec_copies;
-      for (const exec::AggSpec& s : specs) spec_copies.push_back(s.Clone());
       plan = std::make_unique<exec::ParallelAggregateOp>(
-          from.pipeline_heap, std::move(stages), std::move(group_exprs),
-          group_names, std::move(spec_copies), mp.dop, mp.morsel_pages);
+          std::move(plan), std::move(group_exprs), group_names,
+          std::move(specs), parallel->dop, parallel->morsel_pages);
     } else {
-      if (where != nullptr) {
-        plan = std::make_unique<exec::FilterOp>(std::move(plan),
-                                                std::move(where));
-      }
       plan = std::make_unique<exec::HashAggregateOp>(
           std::move(plan), std::move(group_exprs), group_names,
           std::move(specs));
     }
-    where = nullptr;
-  } else {
-    // Non-aggregate pipelines parallelize when a CROSS APPLY stage makes
-    // the per-row work heavy enough to be worth the exchange; the gather
-    // preserves heap order so the result matches the serial plan exactly.
-    auto* heap = from.pipeline_heap == nullptr
-                     ? nullptr
-                     : dynamic_cast<storage::HeapTable*>(
-                           from.pipeline_heap->table.get());
-    const bool parallel = heap != nullptr && !from.apply_stages.empty() &&
-                          db_->options().max_dop > 1 &&
-                          from.pipeline_heap->table->num_rows() >=
-                              db_->options().parallel_threshold;
-    if (parallel) {
-      HTG_RETURN_IF_ERROR(heap->SealCurrentPage());
-      const MorselPlan mp = PlanMorsels(heap, db_->options());
-      std::vector<exec::ParallelStage> stages =
-          exec::CloneStages(from.apply_stages);
-      if (where != nullptr) {
-        stages.push_back(exec::ParallelStage::Filter(std::move(where)));
-      }
-      plan = std::make_unique<exec::ParallelMapOp>(
-          from.pipeline_heap, std::move(stages), mp.dop, mp.morsel_pages,
-          /*preserve_order=*/true);
-    } else if (where != nullptr) {
-      plan =
-          std::make_unique<exec::FilterOp>(std::move(plan), std::move(where));
-    }
-    where = nullptr;
+  } else if (parallel) {
+    // The gather preserves heap order, so the result matches the serial
+    // plan exactly.
+    plan = std::make_unique<exec::ParallelMapOp>(
+        std::move(plan), parallel->dop, parallel->morsel_pages);
   }
 
   BindContext post_ctx;

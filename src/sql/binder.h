@@ -1,6 +1,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -38,8 +39,18 @@ class Binder {
   struct AggScope;
   struct BindContext;
   struct FromResult;
+  struct MorselPlan;
 
-  Result<FromResult> BindFrom(const SelectStmt& stmt);
+  // The morsel-parallel plan for `stmt`, decided before FROM is bound from
+  // the AST and the catalog alone: no JOIN, a heap FROM table of at least
+  // parallel_threshold rows, max_dop > 1, and `worth_exchange`. Nullopt
+  // when the plan stays serial.
+  Result<std::optional<MorselPlan>> PlanParallel(const SelectStmt& stmt,
+                                                 bool worth_exchange);
+  // Binds FROM; with `parallel` set, the heap scan sits under a Distribute
+  // Streams marker.
+  Result<FromResult> BindFrom(const SelectStmt& stmt,
+                              const MorselPlan* parallel);
   // A Clustered Index Seek to replace `from`, the scan the FROM clause
   // bound, or null when the FROM clause or the WHERE admit none.
   exec::OperatorPtr BindSeek(const SelectStmt& stmt, const exec::Operator& from,

@@ -139,7 +139,7 @@ exec::ExecContext SqlEngine::MakeContext(const StatementOptions& opts) {
     // Session-scoped budget: tighter than (and independent of) the
     // database-wide default, same spill policy.
     ctx.mem = std::make_shared<MemoryContext>(
-        opts.query_mem_bytes, db_->options().ResolvedSpillEnabled());
+        opts.query_mem_bytes, db_->options().enable_spill);
   }
   return ctx;
 }

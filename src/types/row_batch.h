@@ -142,4 +142,15 @@ class RowBatch {
   bool has_selection_ = false;
 };
 
+// Approximate resident bytes of a batch's values (cf. ApproxRowBytes);
+// the unit the executor charges materialized batches against query
+// budgets.
+inline size_t ApproxBatchBytes(const RowBatch& batch) {
+  size_t bytes = 0;
+  for (size_t c = 0; c < batch.num_columns(); ++c) {
+    for (const Value& v : batch.column(c)) bytes += v.ApproxBytes();
+  }
+  return bytes;
+}
+
 }  // namespace htg

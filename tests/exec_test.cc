@@ -6,6 +6,7 @@
 #include "exec/expression.h"
 #include "exec/join_ops.h"
 #include "exec/operator.h"
+#include "exec/parallel.h"
 #include "exec/sort_ops.h"
 #include "storage/heap_table.h"
 
@@ -44,6 +45,14 @@ ExprPtr Col(int i, DataType t = DataType::kInt64) {
 }
 
 ExprPtr Lit(int64_t v) { return std::make_unique<LiteralExpr>(Value::Int64(v)); }
+
+// The worker side of an exchange over `table`: Distribute Streams over its
+// scan, with the DOP and morsel size the exchange above it is given.
+OperatorPtr Distribute(catalog::TableDef* table, int dop,
+                       size_t morsel_pages) {
+  return std::make_unique<DistributeStreamsOp>(
+      std::make_unique<TableScanOp>(table), dop, morsel_pages);
+}
 
 TEST(ExpressionTest, ArithmeticAndPromotion) {
   udf::EvalContext eval;
@@ -115,12 +124,6 @@ TEST(ExpressionTest, IsNullAndCase) {
       std::make_unique<BinaryExpr>(BinaryOp::kGt, Lit(5), Lit(3)), Lit(10));
   CaseExpr case_expr(std::move(branches), Lit(20));
   EXPECT_EQ(case_expr.Eval(&eval, {})->AsInt64(), 10);
-}
-
-TEST(ExpressionTest, CloneIsDeepAndEqual) {
-  BinaryExpr original(BinaryOp::kAdd, Col(0), Lit(1));
-  ExprPtr clone = original.Clone();
-  EXPECT_TRUE(original.Equals(*clone));
 }
 
 TEST(OperatorTest, FilterProjectPipeline) {
@@ -218,7 +221,7 @@ TEST(OperatorTest, ParallelAggregateMatchesSerial) {
   groups.push_back(Col(0, DataType::kInt32));
   // Morsels of 2 pages over a ~14-page heap exercise real work stealing.
   OperatorPtr parallel = std::make_unique<ParallelAggregateOp>(
-      table, std::vector<ParallelStage>{}, std::move(groups),
+      Distribute(table, /*dop=*/4, /*morsel_pages=*/2), std::move(groups),
       std::vector<std::string>{"k"}, make_aggs(), /*dop=*/4,
       /*morsel_pages=*/2);
   ExecContext ctx = ExecContext::For(db.get());
@@ -238,21 +241,18 @@ TEST(OperatorTest, ParallelAggregateWithFilterStage) {
   auto* heap = dynamic_cast<storage::HeapTable*>(table->table.get());
   ASSERT_NE(heap, nullptr);
   ASSERT_TRUE(heap->SealCurrentPage().ok());
-  // WHERE v >= 2500 as a per-morsel filter stage.
-  auto make_pred = [&]() -> ExprPtr {
-    return std::make_unique<BinaryExpr>(BinaryOp::kGe, Col(1), Lit(int64_t{2500}));
-  };
-  std::vector<ParallelStage> stages;
-  stages.push_back(ParallelStage::Filter(make_pred()));
+  // WHERE v >= 2500 as a filter in the exchange's serial subtree.
+  OperatorPtr filter = std::make_unique<FilterOp>(
+      Distribute(table, /*dop=*/4, /*morsel_pages=*/2),
+      std::make_unique<BinaryExpr>(BinaryOp::kGe, Col(1), Lit(int64_t{2500})));
   std::vector<AggSpec> aggs;
   AggSpec count;
   count.fn = db->functions()->FindAggregate("COUNT");
   count.display = "COUNT(*)";
   aggs.push_back(std::move(count));
   OperatorPtr parallel = std::make_unique<ParallelAggregateOp>(
-      table, std::move(stages), std::vector<ExprPtr>{},
-      std::vector<std::string>{}, std::move(aggs), /*dop=*/4,
-      /*morsel_pages=*/2);
+      std::move(filter), std::vector<ExprPtr>{}, std::vector<std::string>{},
+      std::move(aggs), /*dop=*/4, /*morsel_pages=*/2);
   ExecContext ctx = ExecContext::For(db.get());
   auto iter = parallel->Open(&ctx);
   ASSERT_TRUE(iter.ok());
@@ -277,17 +277,14 @@ TEST(ParallelTest, MakeMorselsCoversAllPages) {
 }
 
 TEST(ParallelTest, ChooseMorselPagesShrinksForSlack) {
-  // Big table: capped at the configured maximum.
-  EXPECT_EQ(ChooseMorselPages(/*num_pages=*/10000, /*dop=*/4,
-                              /*max_pages=*/32),
-            32u);
+  // Big table: capped at the default morsel size.
+  EXPECT_EQ(ChooseMorselPages(/*num_pages=*/10000, /*dop=*/4),
+            kDefaultMorselPages);
   // Small table: shrunk so each worker sees several morsels.
-  EXPECT_LT(ChooseMorselPages(/*num_pages=*/16, /*dop=*/4, /*max_pages=*/32),
-            16u);
-  EXPECT_GE(ChooseMorselPages(/*num_pages=*/16, /*dop=*/4, /*max_pages=*/32),
-            1u);
+  EXPECT_LT(ChooseMorselPages(/*num_pages=*/16, /*dop=*/4), 16u);
+  EXPECT_GE(ChooseMorselPages(/*num_pages=*/16, /*dop=*/4), 1u);
   // Never zero, even on empty input.
-  EXPECT_GE(ChooseMorselPages(0, 4, 32), 1u);
+  EXPECT_GE(ChooseMorselPages(0, 4), 1u);
 }
 
 TEST(ParallelTest, ParallelMapOpMatchesSerialOrder) {
@@ -311,11 +308,10 @@ TEST(ParallelTest, ParallelMapOpMatchesSerialOrder) {
     ASSERT_TRUE(DrainIterator(iter->get(), &serial).ok());
   }
 
-  std::vector<ParallelStage> stages;
-  stages.push_back(ParallelStage::Filter(make_pred()));
   OperatorPtr parallel = std::make_unique<ParallelMapOp>(
-      table, std::move(stages), /*dop=*/4, /*morsel_pages=*/2,
-      /*preserve_order=*/true);
+      std::make_unique<FilterOp>(
+          Distribute(table, /*dop=*/4, /*morsel_pages=*/2), make_pred()),
+      /*dop=*/4, /*morsel_pages=*/2);
   ExecContext ctx = ExecContext::For(db.get());
   auto iter = parallel->Open(&ctx);
   ASSERT_TRUE(iter.ok());
@@ -330,6 +326,31 @@ TEST(ParallelTest, ParallelMapOpMatchesSerialOrder) {
     }
   }
   EXPECT_NE(parallel->Describe().find("Gather Streams"), std::string::npos);
+}
+
+TEST(ParallelTest, PageRangeReadOutsideExchangeIsInternal) {
+  auto db = OpenTestDb("parmarker");
+  catalog::TableDef* heap = MakeNumbersTable(db.get(), "t", 100, 7);
+  ExecContext ctx = ExecContext::For(db.get());
+  // Distribute Streams needs the morsel an exchange worker puts in its
+  // context; opened by a serial parent it must not fall back to a full
+  // scan.
+  OperatorPtr marker = Distribute(heap, /*dop=*/4, /*morsel_pages=*/2);
+  Result<std::unique_ptr<storage::RowIterator>> iter = marker->Open(&ctx);
+  ASSERT_FALSE(iter.ok());
+  EXPECT_EQ(iter.status().code(), StatusCode::kInternal);
+
+  // A clustered scan has no pages to narrow to a morsel.
+  catalog::TableDef def;
+  def.name = "c";
+  def.schema.AddColumn({.name = "k", .type = DataType::kInt64});
+  def.clustered_key = {0};
+  ASSERT_TRUE(db->CreateTable(std::move(def)).ok());
+  TableScanOp scan(*db->GetTable("c"));
+  ctx.morsel = Morsel{0, 1};
+  iter = scan.Open(&ctx);
+  ASSERT_FALSE(iter.ok());
+  EXPECT_EQ(iter.status().code(), StatusCode::kInternal);
 }
 
 TEST(ParallelTest, ParallelSortMatchesSerial) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -181,6 +182,22 @@ class ExplainAnalyzeTest : public ::testing::Test {
   std::unique_ptr<sql::SqlEngine> engine_;
 };
 
+// The first line of an EXPLAIN ANALYZE plan that contains `what`.
+std::string LineWith(const std::string& plan, const std::string& what) {
+  const size_t at = plan.find(what);
+  if (at == std::string::npos) return std::string();
+  const size_t begin = plan.rfind('\n', at);
+  const size_t start = begin == std::string::npos ? 0 : begin + 1;
+  return plan.substr(start, plan.find('\n', at) - start);
+}
+
+// The number after `key` (e.g. "actual rows=") in `line`; 0 when absent.
+uint64_t StatAfter(const std::string& line, const std::string& key) {
+  const size_t at = line.find(key);
+  if (at == std::string::npos) return 0;
+  return std::strtoull(line.c_str() + at + key.size(), nullptr, 10);
+}
+
 TEST_F(ExplainAnalyzeTest, RowCountsFlowThroughScanFilterAggregate) {
   Exec("CREATE TABLE t (k INT, v BIGINT)");
   Exec("INSERT INTO t VALUES (1, 10), (1, 20), (2, 30), (2, 5), (3, 1)");
@@ -240,6 +257,50 @@ TEST_F(ExplainAnalyzeTest, ParallelPlanShowsDopAndPerWorkerRows) {
   // All 20000 scanned rows are accounted for across workers.
   EXPECT_NE(plan.find("actual rows=20000"), std::string::npos) << plan;
   EXPECT_NE(plan.find("total: 5 rows"), std::string::npos) << plan;
+
+  // With a WHERE, the one Filter node every morsel opens under the gather
+  // reports the rows of the whole scan, as the DOP 1 plan's Filter does,
+  // and one open per dispatched morsel.
+  const std::string query =
+      "SELECT k, COUNT(*) FROM big WHERE v % 3 = 0 GROUP BY k";
+  const std::string parallel = ExplainAnalyze(query);
+  db_->set_max_dop(1);
+  const std::string serial = ExplainAnalyze(query);
+  ASSERT_EQ(serial.find("Gather Streams"), std::string::npos) << serial;
+  const std::string parallel_filter = LineWith(parallel, "Filter [");
+  const std::string serial_filter = LineWith(serial, "Filter [");
+  EXPECT_EQ(StatAfter(serial_filter, "actual rows="), 6667u) << serial;
+  EXPECT_EQ(StatAfter(parallel_filter, "actual rows="),
+            StatAfter(serial_filter, "actual rows="))
+      << parallel;
+  uint64_t morsels = 0;
+  for (size_t at = parallel.find("morsels="); at != std::string::npos;
+       at = parallel.find("morsels=", at + 1)) {
+    morsels += std::strtoull(parallel.c_str() + at + 8, nullptr, 10);
+  }
+  EXPECT_GT(morsels, 1u) << parallel;
+  EXPECT_EQ(StatAfter(parallel_filter, "opens="), morsels) << parallel;
+}
+
+TEST_F(ExplainAnalyzeTest, ParallelGatherChargesItsBuffers) {
+  // The CROSS APPLY gather buffers the pipeline's whole output before it
+  // emits a row; those batches count against the query's memory budget.
+  Exec("CREATE TABLE aligned (pos BIGINT, seq VARCHAR(10), quals "
+       "VARCHAR(10))");
+  auto* table = *db_->GetTable("aligned");
+  for (int i = 0; i < 12000; ++i) {
+    ASSERT_TRUE(db_->InsertRow(table, Row{Value::Int64(i * 2),
+                                          Value::String("ACG"),
+                                          Value::String("III")})
+                    .ok());
+  }
+  const std::string plan = ExplainAnalyze(
+      "SELECT pa.pos AS ref_pos, base, qual FROM aligned "
+      "CROSS APPLY PivotAlignment(aligned.pos, seq, quals) AS pa");
+  const std::string gather = LineWith(plan, "Gather Streams");
+  ASSERT_FALSE(gather.empty()) << plan;
+  EXPECT_NE(gather.find("actual rows=36000"), std::string::npos) << plan;
+  EXPECT_NE(gather.find("peak-mem="), std::string::npos) << plan;
 }
 
 TEST_F(ExplainAnalyzeTest, PlainExplainDoesNotExecute) {

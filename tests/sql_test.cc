@@ -456,7 +456,10 @@ TEST_F(SqlTest, ExplainShowsParallelBinningPlan) {
   EXPECT_NE(plan->find("Sequence Project"), std::string::npos) << *plan;
   EXPECT_NE(plan->find("Gather Streams"), std::string::npos) << *plan;
   EXPECT_NE(plan->find("Filter"), std::string::npos) << *plan;
-  EXPECT_NE(plan->find("Table Scan [ReadT] pages"), std::string::npos)
+  // The scan each morsel narrows sits under the Distribute Streams marker.
+  const size_t distribute = plan->find("Parallelism (Distribute Streams)");
+  ASSERT_NE(distribute, std::string::npos) << *plan;
+  EXPECT_NE(plan->find("Table Scan [ReadT]", distribute), std::string::npos)
       << *plan;
 }
 

@@ -80,10 +80,11 @@ Rules (ids usable in NOLINT suppressions):
                     kernels (joins, stream aggregate).
   exec-untracked-reserve
                     In the materializing operator files (sort_ops,
-                    aggregate_ops, join_ops, basic_ops under src/exec), a
-                    row buffer (`std::vector<Row>`) reserved or resized
-                    to a non-literal size must be in scope of the
-                    memory-governance plumbing: the enclosing function or
+                    aggregate_ops, join_ops, basic_ops and the parallel
+                    gather under src/exec), a row buffer
+                    (`std::vector<Row>` or `std::vector<RowBatch>`) reserved
+                    or resized to a non-literal size must be in scope of
+                    the memory-governance plumbing: the enclosing function or
                     class has to hold a charge (MemoryCharge /
                     MemoryContext) so the bytes count against the query
                     budget and can trigger spilling. Fixed-size literal
@@ -509,17 +510,18 @@ def check_exec_batch_rowloop(path, text, rel):
 
 
 RESERVE_RE = re.compile(r"\b(\w+)\s*(?:\.|->)\s*(reserve|resize)\s*\(")
-# The operators that materialize data-proportional state; scan/filter/
-# project files hold per-batch scratch only.
+# The operators that materialize data-proportional state (parallel.cc:
+# the gather); scan/filter/project files hold per-batch scratch only.
 EXEC_RESERVE_FILES = {
     "src/exec/sort_ops.cc",
     "src/exec/aggregate_ops.cc",
     "src/exec/join_ops.cc",
     "src/exec/basic_ops.cc",
+    "src/exec/parallel.cc",
 }
 CHARGE_RE = re.compile(r"\b(charge_?|Charge|MemoryCharge|MemoryContext)\b")
 ROW_VECTOR_DECL_RE = re.compile(
-    r"\bstd::vector<\s*Row\s*>\s*[*&]?\s*(\w+)")
+    r"\bstd::vector<\s*(?:Row|RowBatch)\s*>\s*[*&]?\s*(\w+)")
 
 
 def _charge_scopes(text):
@@ -539,12 +541,13 @@ def _charge_scopes(text):
 
 
 def check_exec_untracked_reserve(path, text, rel):
-    """A row buffer (`std::vector<Row>`) reserved/resized to a non-literal
-    size in a materializing operator file, with no memory charge in any
-    enclosing function or class, grows with the data but is invisible to
-    the query budget — it can neither trip the typed kResourceExhausted
-    error nor trigger spilling. Arity-sized scratch (keys, argument
-    vectors, partition writer arrays) is out of scope by construction.
+    """A row buffer (`std::vector<Row>` or `std::vector<RowBatch>`)
+    reserved/resized to a non-literal size in a materializing operator
+    file, with no memory charge in any enclosing function or class, grows
+    with the data but is invisible to the query budget — it can neither
+    trip the typed kResourceExhausted error nor trigger spilling.
+    Arity-sized scratch (keys, argument vectors, partition writer arrays)
+    is out of scope by construction.
     Selftest fixtures arrive with a bare filename, which must still trip
     the rule."""
     norm = rel.replace(os.sep, "/")
