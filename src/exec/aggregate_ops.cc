@@ -735,21 +735,17 @@ std::string StreamAggregateOp::Describe() const {
 ParallelAggregateOp::ParallelAggregateOp(OperatorPtr child,
                                          std::vector<ExprPtr> group_exprs,
                                          std::vector<std::string> group_names,
-                                         std::vector<AggSpec> aggs, int dop,
-                                         size_t morsel_pages)
+                                         std::vector<AggSpec> aggs)
     : child_(std::move(child)),
       group_exprs_(std::move(group_exprs)),
       aggs_(std::move(aggs)),
-      dop_(dop < 1 ? 1 : dop),
-      morsel_pages_(morsel_pages == 0 ? kDefaultMorselPages : morsel_pages),
+      distribute_(FindDistribute(child_.get())),
       schema_(MakeAggregateSchema(group_exprs_, group_names, aggs_)) {}
 
 Result<std::unique_ptr<storage::RowIterator>> ParallelAggregateOp::OpenImpl(
     ExecContext* ctx) {
-  HTG_ASSIGN_OR_RETURN(const std::vector<Morsel> morsels,
-                       SplitMorsels(child_.get(), morsel_pages_));
-  const int dop =
-      std::min(static_cast<size_t>(dop_), std::max<size_t>(1, morsels.size()));
+  HTG_ASSIGN_OR_RETURN(const MorselSplit split, SplitMorsels(distribute_));
+  const int dop = split.dop;
   OperatorStats* stats = mutable_stats();
 
   // Shared governance: one charge ledger and one partition-spill sink
@@ -773,7 +769,7 @@ Result<std::unique_ptr<storage::RowIterator>> ParallelAggregateOp::OpenImpl(
     partials.emplace_back(group_exprs_.size(), aggs_);
   }
   HTG_RETURN_IF_ERROR(OpenPerMorsel(
-      child_.get(), morsels, dop, ctx, stats,
+      child_.get(), split, ctx, stats,
       [&](int worker, size_t, ExecContext* wctx,
           storage::RowIterator* iter) -> Status {
         return BuildGroups(iter, ctx->batch_rows, group_exprs_, aggs_,
@@ -851,7 +847,7 @@ std::string ParallelAggregateOp::Describe() const {
   return StringPrintf(
              "Parallelism (Gather Streams) + Hash Match "
              "(Partial/Final Aggregate), DOP=%d ",
-             dop_) +
+             distribute_ == nullptr ? 1 : distribute_->dop()) +
          DescribeAggs(group_exprs_, aggs_);
 }
 

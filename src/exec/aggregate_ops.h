@@ -94,7 +94,7 @@ class ParallelAggregateOp : public Operator {
  public:
   ParallelAggregateOp(OperatorPtr child, std::vector<ExprPtr> group_exprs,
                       std::vector<std::string> group_names,
-                      std::vector<AggSpec> aggs, int dop, size_t morsel_pages);
+                      std::vector<AggSpec> aggs);
 
   const Schema& output_schema() const override { return schema_; }
   Result<std::unique_ptr<storage::RowIterator>> OpenImpl(ExecContext* ctx) override;
@@ -112,8 +112,7 @@ class ParallelAggregateOp : public Operator {
   OperatorPtr child_;
   std::vector<ExprPtr> group_exprs_;
   std::vector<AggSpec> aggs_;
-  int dop_;
-  size_t morsel_pages_;
+  const DistributeStreamsOp* distribute_;  // in child_'s subtree
   Schema schema_;
 };
 

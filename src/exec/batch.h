@@ -64,9 +64,8 @@ class RowReader {
   size_t pos_ = 0;
 };
 
-// Iterator over pre-materialized batches: the parallel gather (morsel
-// workers drain their pipelines into RowBatch buffers), sort, aggregate
-// and constant-scan output.
+// Iterator over pre-materialized batches: sort, aggregate and
+// constant-scan output.
 class MaterializedBatchesIterator : public BatchIterator {
  public:
   explicit MaterializedBatchesIterator(std::vector<RowBatch> batches)

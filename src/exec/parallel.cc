@@ -111,8 +111,8 @@ Status ParallelDrainMorsels(ThreadPool* pool, int dop, size_t num_morsels,
 // DistributeStreamsOp.
 // --------------------------------------------------------------------------
 
-DistributeStreamsOp::DistributeStreamsOp(std::unique_ptr<TableScanOp> scan,
-                                         int dop, size_t morsel_pages)
+DistributeStreamsOp::DistributeStreamsOp(OperatorPtr scan, int dop,
+                                         size_t morsel_pages)
     : scan_(std::move(scan)),
       dop_(dop < 1 ? 1 : dop),
       morsel_pages_(morsel_pages) {}
@@ -133,31 +133,47 @@ std::string DistributeStreamsOp::Describe() const {
       morsel_pages_);
 }
 
-Result<std::vector<Morsel>> SplitMorsels(const Operator* subtree,
-                                         size_t morsel_pages) {
-  const Operator* op = subtree;
-  const DistributeStreamsOp* distribute = nullptr;
-  while (op != nullptr && distribute == nullptr) {
-    distribute = dynamic_cast<const DistributeStreamsOp*>(op);
+catalog::TableDef* DistributeStreamsOp::table() const {
+  const auto* scan = dynamic_cast<const TableScanOp*>(scan_.get());
+  return scan == nullptr ? nullptr : scan->table();
+}
+
+const DistributeStreamsOp* FindDistribute(const Operator* subtree) {
+  for (const Operator* op = subtree; op != nullptr;) {
+    if (const auto* d = dynamic_cast<const DistributeStreamsOp*>(op)) {
+      return d;
+    }
     const std::vector<const Operator*> kids = op->children();
     op = kids.size() == 1 ? kids[0] : nullptr;
   }
-  auto* heap = distribute == nullptr ? nullptr
-                                     : dynamic_cast<storage::HeapTable*>(
-                                           distribute->table()->table.get());
+  return nullptr;
+}
+
+Result<MorselSplit> SplitMorsels(const DistributeStreamsOp* distribute) {
+  catalog::TableDef* table =
+      distribute == nullptr ? nullptr : distribute->table();
+  auto* heap = table == nullptr
+                   ? nullptr
+                   : dynamic_cast<storage::HeapTable*>(table->table.get());
   if (heap == nullptr) {
     return Status::Internal(
         "exchange without a Distribute Streams over a heap scan below it");
   }
   HTG_RETURN_IF_ERROR(heap->SealCurrentPage());
-  return MakeMorsels(heap->num_pages_sealed(), morsel_pages);
+  MorselSplit split;
+  split.morsels =
+      MakeMorsels(heap->num_pages_sealed(), distribute->morsel_pages());
+  split.dop = static_cast<int>(std::min<size_t>(
+      distribute->dop(), std::max<size_t>(1, split.morsels.size())));
+  return split;
 }
 
 Status OpenPerMorsel(
-    Operator* subtree, const std::vector<Morsel>& morsels, int dop,
-    ExecContext* ctx, OperatorStats* stats,
+    Operator* subtree, const MorselSplit& split, ExecContext* ctx,
+    OperatorStats* stats,
     const std::function<Status(int, size_t, ExecContext*,
                                storage::RowIterator*)>& consume) {
+  const int dop = split.dop;
   if (ctx->collect_stats) {
     stats->worker_rows.assign(dop, 0);
     stats->worker_morsels.assign(dop, 0);
@@ -167,9 +183,10 @@ Status OpenPerMorsel(
   // the subtree's operators and expression trees are shared read-only.
   std::vector<ExecContext> worker_ctx(dop, *ctx);
   return ParallelDrainMorsels(
-      ctx->pool, dop, morsels.size(), [&](int worker, size_t m) -> Status {
+      ctx->pool, dop, split.morsels.size(),
+      [&](int worker, size_t m) -> Status {
         ExecContext* wctx = &worker_ctx[worker];
-        wctx->morsel = morsels[m];
+        wctx->morsel = split.morsels[m];
         HTG_ASSIGN_OR_RETURN(std::unique_ptr<storage::RowIterator> iter,
                              subtree->Open(wctx));
         if (ctx->collect_stats) {
@@ -187,16 +204,43 @@ Status OpenPerMorsel(
 // ParallelMapOp.
 // --------------------------------------------------------------------------
 
-ParallelMapOp::ParallelMapOp(OperatorPtr child, int dop, size_t morsel_pages)
-    : child_(std::move(child)),
-      dop_(dop < 1 ? 1 : dop),
-      morsel_pages_(morsel_pages == 0 ? kDefaultMorselPages : morsel_pages) {}
+namespace {
+
+// The gather's output: the buffered batches in morsel order. Each batch's
+// charge is released as the batch leaves, so the gather accounts only for
+// what it still holds, and a consumer that charges the rows it keeps
+// (Sort, a window) does not count them a second time.
+class GatherIterator : public BatchIterator {
+ public:
+  GatherIterator(std::vector<RowBatch> batches, std::vector<size_t> bytes,
+                 MemoryCharge charge)
+      : batches_(std::move(batches)),
+        bytes_(std::move(bytes)),
+        charge_(std::move(charge)) {}
+
+ protected:
+  bool ProduceBatch(RowBatch* batch) override {
+    if (next_ == batches_.size()) return false;
+    *batch = std::move(batches_[next_]);
+    charge_.Release(bytes_[next_++]);
+    return true;
+  }
+
+ private:
+  std::vector<RowBatch> batches_;
+  std::vector<size_t> bytes_;  // the charge of each batch
+  MemoryCharge charge_;
+  size_t next_ = 0;
+};
+
+}  // namespace
+
+ParallelMapOp::ParallelMapOp(OperatorPtr child)
+    : child_(std::move(child)), distribute_(FindDistribute(child_.get())) {}
 
 Result<std::unique_ptr<storage::RowIterator>> ParallelMapOp::OpenImpl(
     ExecContext* ctx) {
-  HTG_ASSIGN_OR_RETURN(const std::vector<Morsel> morsels,
-                       SplitMorsels(child_.get(), morsel_pages_));
-  const int dop = std::min<size_t>(dop_, std::max<size_t>(1, morsels.size()));
+  HTG_ASSIGN_OR_RETURN(const MorselSplit split, SplitMorsels(distribute_));
   OperatorStats* stats = mutable_stats();
 
   // Workers drain morsels into per-morsel RowBatch buffers, so rows cross
@@ -204,37 +248,42 @@ Result<std::unique_ptr<storage::RowIterator>> ParallelMapOp::OpenImpl(
   // whole output until the gather, so they are charged to the query (as
   // they fill, unchecked: the gather never fails or spills on them).
   MemoryCharge charge(ctx->mem.get(), "Gather Streams");
-  std::vector<std::vector<RowBatch>> buffers(morsels.size());
+  std::vector<std::vector<RowBatch>> buffers(split.morsels.size());
+  std::vector<std::vector<size_t>> buffer_bytes(split.morsels.size());
   HTG_RETURN_IF_ERROR(OpenPerMorsel(
-      child_.get(), morsels, dop, ctx, stats,
+      child_.get(), split, ctx, stats,
       [&](int, size_t m, ExecContext* wctx,
           storage::RowIterator* iter) -> Status {
         HTG_RETURN_IF_ERROR(DrainBatches(iter, wctx->batch_rows, &buffers[m]));
-        size_t bytes = 0;
+        size_t total = 0;
         for (const RowBatch& batch : buffers[m]) {
-          bytes += ApproxBatchBytes(batch);
+          buffer_bytes[m].push_back(ApproxBatchBytes(batch));
+          total += buffer_bytes[m].back();
         }
-        charge.AddUnchecked(bytes);
+        charge.AddUnchecked(total);
         return Status::OK();
       }));
   RecordPeakMem(stats, charge.peak());
 
   // Gather in morsel order: output matches the serial heap scan order.
   size_t total = 0;
-  for (const std::vector<RowBatch>& b : buffers) total += b.size();
+  for (const std::vector<size_t>& b : buffer_bytes) total += b.size();
   std::vector<RowBatch> batches;
+  std::vector<size_t> bytes;
   batches.reserve(total);
-  for (std::vector<RowBatch>& b : buffers) {
-    for (RowBatch& batch : b) batches.push_back(std::move(batch));
-    b.clear();
+  bytes.reserve(total);
+  for (size_t m = 0; m < buffers.size(); ++m) {
+    for (RowBatch& batch : buffers[m]) batches.push_back(std::move(batch));
+    bytes.insert(bytes.end(), buffer_bytes[m].begin(), buffer_bytes[m].end());
   }
-  return {std::make_unique<ChargedBatchesIterator>(std::move(batches),
-                                                   std::move(charge))};
+  return {std::make_unique<GatherIterator>(
+      std::move(batches), std::move(bytes), std::move(charge))};
 }
 
 std::string ParallelMapOp::Describe() const {
   return StringPrintf(
-      "Parallelism (Gather Streams) [DOP=%d, order preserving]", dop_);
+      "Parallelism (Gather Streams) [DOP=%d, order preserving]",
+      distribute_ == nullptr ? 1 : distribute_->dop());
 }
 
 }  // namespace htg::exec

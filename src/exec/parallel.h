@@ -55,14 +55,15 @@ Status ParallelDrainMorsels(ThreadPool* pool, int dop, size_t num_morsels,
 
 // The worker side of an exchange: "Parallelism (Distribute Streams)" over
 // the heap scan it splits into morsels, mirroring the SQL Server showplan
-// the paper reproduces. At run time it passes its scan through; opening it
-// without a morsel in the context (outside an exchange) is an Internal
-// error. `dop` is the effective degree (already clamped to the morsel count
-// at plan time), so EXPLAIN output is deterministic and golden-testable.
+// the paper reproduces. It is the one place a parallel plan keeps its DOP
+// and morsel size; the exchange above reads both from it. At run time it
+// passes its scan through; opening it without a morsel in the context
+// (outside an exchange) is an Internal error. `dop` is the effective
+// degree (already clamped to the morsel count at plan time), so EXPLAIN
+// output is deterministic and golden-testable.
 class DistributeStreamsOp : public Operator {
  public:
-  DistributeStreamsOp(std::unique_ptr<TableScanOp> scan, int dop,
-                      size_t morsel_pages);
+  DistributeStreamsOp(OperatorPtr scan, int dop, size_t morsel_pages);
 
   const Schema& output_schema() const override {
     return scan_->output_schema();
@@ -74,29 +75,40 @@ class DistributeStreamsOp : public Operator {
   }
   int64_t EstimateRows() const override { return scan_->EstimateRows(); }
 
-  catalog::TableDef* table() const { return scan_->table(); }
+  int dop() const { return dop_; }
+  size_t morsel_pages() const { return morsel_pages_; }
+  // The scanned table when the scan is a TableScanOp, else nullptr.
+  catalog::TableDef* table() const;
 
  private:
-  std::unique_ptr<TableScanOp> scan_;
+  OperatorPtr scan_;
   int dop_;
   size_t morsel_pages_;
 };
 
-// Finds the Distribute Streams marker at the bottom of an exchange's
-// serial subtree (a chain of single-child operators), seals its heap's
-// open page and splits the heap into morsels of `morsel_pages` pages.
-// Internal when the subtree has no marker over a heap.
-Result<std::vector<Morsel>> SplitMorsels(const Operator* subtree,
-                                         size_t morsel_pages);
+// The Distribute Streams marker at the bottom of an exchange's serial
+// subtree (a chain of single-child operators), or nullptr.
+const DistributeStreamsOp* FindDistribute(const Operator* subtree);
 
-// The exchange's run loop: `dop` workers drain `morsels` off a shared
-// counter; each opens `subtree` with its own copy of `ctx` carrying the
-// morsel and hands the stream to consume(worker, morsel index, worker
-// context, stream). Under collect_stats, `stats` gets each worker's
-// morsel, row and batch counts.
+// One open of an exchange: the morsels it dispatches and the worker count
+// (the marker's DOP, clamped to the morsel count).
+struct MorselSplit {
+  std::vector<Morsel> morsels;
+  int dop = 1;
+};
+
+// Seals the heap under `distribute` and splits it into morsels of the
+// marker's size. Internal when there is no marker over a heap scan.
+Result<MorselSplit> SplitMorsels(const DistributeStreamsOp* distribute);
+
+// The exchange's run loop: split.dop workers drain split.morsels off a
+// shared counter; each opens `subtree` with its own copy of `ctx`
+// carrying the morsel and hands the stream to consume(worker, morsel
+// index, worker context, stream). Under collect_stats, `stats` gets each
+// worker's morsel, row and batch counts.
 Status OpenPerMorsel(
-    Operator* subtree, const std::vector<Morsel>& morsels, int dop,
-    ExecContext* ctx, OperatorStats* stats,
+    Operator* subtree, const MorselSplit& split, ExecContext* ctx,
+    OperatorStats* stats,
     const std::function<Status(int, size_t, ExecContext*,
                                storage::RowIterator*)>& consume);
 
@@ -109,7 +121,7 @@ Status OpenPerMorsel(
 // ---------------------------------------------------------------------------
 class ParallelMapOp : public Operator {
  public:
-  ParallelMapOp(OperatorPtr child, int dop, size_t morsel_pages);
+  explicit ParallelMapOp(OperatorPtr child);
 
   const Schema& output_schema() const override {
     return child_->output_schema();
@@ -123,8 +135,7 @@ class ParallelMapOp : public Operator {
 
  private:
   OperatorPtr child_;
-  int dop_;
-  size_t morsel_pages_;
+  const DistributeStreamsOp* distribute_;  // in child_'s subtree
 };
 
 }  // namespace htg::exec

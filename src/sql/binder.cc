@@ -80,9 +80,8 @@ struct Binder::FromResult {
   Scope scope;
 };
 
-// A morsel-parallel plan: the heap FROM table, the DOP and the morsel size.
+// A morsel-parallel plan: the DOP and the morsel size of the FROM heap.
 struct Binder::MorselPlan {
-  catalog::TableDef* table = nullptr;
   int dop = 1;
   size_t morsel_pages = 1;
 };
@@ -408,7 +407,6 @@ Result<std::optional<Binder::MorselPlan>> Binder::PlanParallel(
   HTG_RETURN_IF_ERROR(heap->SealCurrentPage());
   const size_t npages = heap->num_pages_sealed();
   MorselPlan plan;
-  plan.table = table;
   plan.morsel_pages = exec::ChooseMorselPages(npages, options.max_dop);
   const size_t nmorsels =
       (npages + plan.morsel_pages - 1) / plan.morsel_pages;
@@ -432,8 +430,7 @@ Result<Binder::FromResult> Binder::BindFrom(const SelectStmt& stmt,
     // The worker side of the exchange: Distribute Streams over the heap
     // scan whose pages each morsel narrows.
     left.op = std::make_unique<exec::DistributeStreamsOp>(
-        std::make_unique<exec::TableScanOp>(parallel->table), parallel->dop,
-        parallel->morsel_pages);
+        std::move(left.op), parallel->dop, parallel->morsel_pages);
   }
 
   for (const JoinClause& jc : stmt.joins) {
@@ -840,7 +837,7 @@ Result<OperatorPtr> Binder::BindSelect(const SelectStmt& stmt) {
     if (parallel) {
       plan = std::make_unique<exec::ParallelAggregateOp>(
           std::move(plan), std::move(group_exprs), group_names,
-          std::move(specs), parallel->dop, parallel->morsel_pages);
+          std::move(specs));
     } else {
       plan = std::make_unique<exec::HashAggregateOp>(
           std::move(plan), std::move(group_exprs), group_names,
@@ -849,8 +846,7 @@ Result<OperatorPtr> Binder::BindSelect(const SelectStmt& stmt) {
   } else if (parallel) {
     // The gather preserves heap order, so the result matches the serial
     // plan exactly.
-    plan = std::make_unique<exec::ParallelMapOp>(
-        std::move(plan), parallel->dop, parallel->morsel_pages);
+    plan = std::make_unique<exec::ParallelMapOp>(std::move(plan));
   }
 
   BindContext post_ctx;

@@ -47,7 +47,7 @@ ExprPtr Col(int i, DataType t = DataType::kInt64) {
 ExprPtr Lit(int64_t v) { return std::make_unique<LiteralExpr>(Value::Int64(v)); }
 
 // The worker side of an exchange over `table`: Distribute Streams over its
-// scan, with the DOP and morsel size the exchange above it is given.
+// scan, carrying the DOP and morsel size the exchange above it runs.
 OperatorPtr Distribute(catalog::TableDef* table, int dop,
                        size_t morsel_pages) {
   return std::make_unique<DistributeStreamsOp>(
@@ -222,8 +222,7 @@ TEST(OperatorTest, ParallelAggregateMatchesSerial) {
   // Morsels of 2 pages over a ~14-page heap exercise real work stealing.
   OperatorPtr parallel = std::make_unique<ParallelAggregateOp>(
       Distribute(table, /*dop=*/4, /*morsel_pages=*/2), std::move(groups),
-      std::vector<std::string>{"k"}, make_aggs(), /*dop=*/4,
-      /*morsel_pages=*/2);
+      std::vector<std::string>{"k"}, make_aggs());
   ExecContext ctx = ExecContext::For(db.get());
   auto iter = parallel->Open(&ctx);
   ASSERT_TRUE(iter.ok());
@@ -252,7 +251,7 @@ TEST(OperatorTest, ParallelAggregateWithFilterStage) {
   aggs.push_back(std::move(count));
   OperatorPtr parallel = std::make_unique<ParallelAggregateOp>(
       std::move(filter), std::vector<ExprPtr>{}, std::vector<std::string>{},
-      std::move(aggs), /*dop=*/4, /*morsel_pages=*/2);
+      std::move(aggs));
   ExecContext ctx = ExecContext::For(db.get());
   auto iter = parallel->Open(&ctx);
   ASSERT_TRUE(iter.ok());
@@ -310,8 +309,7 @@ TEST(ParallelTest, ParallelMapOpMatchesSerialOrder) {
 
   OperatorPtr parallel = std::make_unique<ParallelMapOp>(
       std::make_unique<FilterOp>(
-          Distribute(table, /*dop=*/4, /*morsel_pages=*/2), make_pred()),
-      /*dop=*/4, /*morsel_pages=*/2);
+          Distribute(table, /*dop=*/4, /*morsel_pages=*/2), make_pred()));
   ExecContext ctx = ExecContext::For(db.get());
   auto iter = parallel->Open(&ctx);
   ASSERT_TRUE(iter.ok());

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "genomics/register.h"
 #include "sql/engine.h"
 #include "storage/fault_injection.h"
 #include "storage/vfs.h"
@@ -205,6 +206,80 @@ TEST(SpillDisabledTest, OverBudgetFailsTypedAndSessionSurvives) {
   Result<QueryResult> alive = engine.Execute("SELECT COUNT(*) FROM t");
   ASSERT_TRUE(alive.ok()) << alive.status().ToString();
   EXPECT_EQ(alive->rows[0][0].AsInt64(), kRows);
+}
+
+// Opens a database holding `aligned`: kRows reads that PivotAlignment
+// turns into three rows each.
+std::unique_ptr<Database> OpenAligned(const std::string& tag,
+                                      int64_t query_mem_bytes,
+                                      bool enable_spill) {
+  DatabaseOptions options;
+  options.filestream_root = "/tmp/htg_spill_test_" + tag;
+  std::filesystem::remove_all(options.filestream_root);
+  options.query_mem_bytes = query_mem_bytes;
+  options.enable_spill = enable_spill;
+  options.max_dop = 4;
+  auto db = Database::Open("spill_" + tag, options);
+  EXPECT_TRUE(db.ok()) << db.status().ToString();
+  if (!db.ok()) return nullptr;
+  EXPECT_TRUE(genomics::RegisterGenomicsExtensions(db->get()).ok());
+  SqlEngine engine(db->get());
+  EXPECT_TRUE(engine
+                  .Execute("CREATE TABLE aligned (pos BIGINT, seq "
+                           "VARCHAR(10), quals VARCHAR(10))")
+                  .ok());
+  catalog::TableDef* table = *(*db)->GetTable("aligned");
+  for (int i = 0; i < kRows; ++i) {
+    const Status s = (*db)->InsertRow(
+        table, Row{Value::Int64(i * 2), Value::String("ACG"),
+                   Value::String("III")});
+    EXPECT_TRUE(s.ok()) << s.ToString();
+  }
+  return std::move(*db);
+}
+
+TEST(SpillGatherTest, SortOverParallelGatherCountsRowsOnce) {
+  // The CROSS APPLY gather charges the batches it buffers and releases
+  // each one as the Sort above takes it, so the statement needs about
+  // the gathered bytes plus the Sort's keys, not twice the gathered bytes.
+  const std::string pivot =
+      "SELECT * FROM aligned CROSS APPLY PivotAlignment(aligned.pos, seq, "
+      "quals) AS pa";
+  const std::string sorted = pivot + " ORDER BY pa.pos DESC, base";
+  size_t gathered = 0;
+  std::vector<std::string> want;
+  {
+    auto db = OpenAligned("gather_ref", 0, true);
+    ASSERT_NE(db, nullptr);
+    SqlEngine engine(db.get());
+    Result<QueryResult> all = engine.Execute(pivot);
+    ASSERT_TRUE(all.ok()) << all.status().ToString();
+    ASSERT_EQ(all->rows.size(), 3u * kRows);
+    for (const Row& row : all->rows) {
+      for (const Value& v : row) gathered += v.ApproxBytes();
+    }
+    Result<QueryResult> ref = engine.Execute(sorted);
+    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+    want = RowStrings(*ref);
+  }
+
+  const int64_t budget = static_cast<int64_t>(gathered * 3 / 2);
+  for (const bool spill : {false, true}) {
+    auto db = OpenAligned(spill ? "gather_spill" : "gather_nospill", budget,
+                          spill);
+    ASSERT_NE(db, nullptr);
+    SqlEngine engine(db.get());
+    Result<QueryResult> plan = engine.Execute("EXPLAIN " + sorted);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    ASSERT_NE(plan->message.find("Gather Streams"), std::string::npos)
+        << plan->message;
+    const uint64_t runs_before = SpillRunsCounter();
+    Result<QueryResult> got = engine.Execute(sorted);
+    ASSERT_TRUE(got.ok()) << "spill=" << spill << ": "
+                          << got.status().ToString();
+    EXPECT_EQ(SpillRunsCounter(), runs_before) << "spill=" << spill;
+    EXPECT_EQ(RowStrings(*got), want) << "spill=" << spill;
+  }
 }
 
 TEST(SpillDistinctTest, SpillsUnderBudgetAndFailsTypedWhenDisabled) {
