@@ -4,7 +4,6 @@
 #include <set>
 
 #include "common/string_util.h"
-#include "common/synchronization.h"
 #include "exec/batch.h"
 #include "exec/spill_util.h"
 #include "storage/spill.h"
@@ -18,76 +17,13 @@ namespace {
 constexpr size_t kGroupOverheadBytes = 96;
 constexpr size_t kInstanceOverheadBytes = 64;
 
-// Thread-safe partition-spill sink for input rows whose group key did
-// not fit in memory. Rows are hashed (salted by recursion level) into
-// kSpillPartitions runs on one shared spill file; a later pass re-
-// aggregates each partition with a fresh budget. The file and writers
-// materialize lazily on the first spilled row, so the happy path costs
-// one atomic load.
-class AggSpill {
- public:
-  AggSpill(storage::TableSpace* space, int level, OperatorStats* stats)
-      : space_(space), level_(level), stats_(stats) {}
-
-  bool engaged() const { return engaged_.load(std::memory_order_acquire); }
-  int level() const { return level_; }
-  storage::SpillFile* file() { return file_.get(); }
-
-  Status Add(const Row& key, const Row& input) {
-    MutexLock lock(&mu_);
-    if (file_ == nullptr) {
-      HTG_ASSIGN_OR_RETURN(file_, storage::SpillFile::Create(space_, "agg"));
-      writers_.reserve(kSpillPartitions);
-      for (size_t p = 0; p < kSpillPartitions; ++p) {
-        writers_.push_back(
-            std::make_unique<storage::SpillRunWriter>(file_.get()));
-      }
-      engaged_.store(true, std::memory_order_release);
-    }
-    return writers_[SpillRowHash(key, level_) % kSpillPartitions]->Add(input);
-  }
-
-  // Seals every nonempty partition and flushes the file, so injected
-  // write faults surface inside the statement. Returns the runs.
-  Result<std::vector<storage::SpillRun>> Finish() {
-    MutexLock lock(&mu_);
-    std::vector<storage::SpillRun> runs;
-    for (auto& writer : writers_) {
-      if (writer->rows() == 0) continue;
-      HTG_ASSIGN_OR_RETURN(storage::SpillRun run, writer->Finish());
-      if (stats_ != nullptr) {
-        stats_->spill_runs.fetch_add(1, std::memory_order_relaxed);
-        stats_->spill_bytes.fetch_add(run.bytes, std::memory_order_relaxed);
-      }
-      runs.push_back(std::move(run));
-    }
-    writers_.clear();
-    if (file_ != nullptr) HTG_RETURN_IF_ERROR(file_->Flush());
-    return runs;
-  }
-
- private:
-  storage::TableSpace* space_;
-  int level_;
-  OperatorStats* stats_;
-  Mutex mu_{"AggSpill::mu_"};
-  std::atomic<bool> engaged_{false};
-  // file_ is written once under mu_ and published by the engaged_
-  // release store; the unlocked file() accessor is only used after an
-  // acquire load observes engaged() == true (or after Finish), so it
-  // stays unannotated by design.
-  std::unique_ptr<storage::SpillFile> file_;
-  std::vector<std::unique_ptr<storage::SpillRunWriter>> writers_
-      HTG_GUARDED_BY(mu_);
-};
-
 // Memory governance handles threaded into the group-build loops. All
 // fields are shared by every morsel worker of a parallel build: the
 // charge and spill sink are thread-safe, the rest is read-only.
 struct AggGovernance {
   MemoryCharge* charge = nullptr;
   ExecContext* ctx = nullptr;
-  AggSpill* spill = nullptr;
+  PartitionSpill* spill = nullptr;
   const char* op_name = "Hash Match (Aggregate)";
 };
 
@@ -366,117 +302,23 @@ std::string DescribeAggs(const std::vector<ExprPtr>& group_exprs,
   return out;
 }
 
-// The spill partitions still to re-aggregate, each tagged with the
-// recursion depth of the pass that will process it (its sub-spills salt
-// their hash with that level), plus the spill files holding them.
-class AggSpillQueue {
- public:
-  AggSpillQueue(const std::vector<ExprPtr>* group_exprs,
-                const std::vector<AggSpec>* aggs, ExecContext* ctx,
-                OperatorStats* stats, const char* op_name)
-      : group_exprs_(group_exprs),
-        aggs_(aggs),
-        ctx_(ctx),
-        stats_(stats),
-        op_name_(op_name) {}
-
-  bool empty() const { return work_.empty(); }
-
-  // Seals `spill` and queues its partitions.
-  Status Add(std::unique_ptr<AggSpill> spill) {
-    HTG_ASSIGN_OR_RETURN(std::vector<storage::SpillRun> runs, spill->Finish());
-    for (storage::SpillRun& run : runs) {
-      work_.push_back(Work{spill->file(), std::move(run), spill->level() + 1});
-    }
-    files_.push_back(std::move(spill));
-    return Status::OK();
-  }
-
-  // Re-aggregates the next partition into `table`, charging its new
-  // groups to `charge`; keys the budget refuses spill one level deeper
-  // and join the queue.
-  Status ReaggregateNext(GroupTable* table, MemoryCharge* charge) {
-    Work work = std::move(work_.back());
-    work_.pop_back();
-    if (work.level > kMaxSpillDepth) return SpillDepthError(op_name_);
-    auto sub = std::make_unique<AggSpill>(
-        ctx_->tablespace, work.level, stats_);
-    AggGovernance gov{charge, ctx_, sub.get(), op_name_};
-    storage::SpillRunReader reader(work.file, std::move(work.run));
-    HTG_RETURN_IF_ERROR(BuildGroups(&reader, ctx_->batch_rows, *group_exprs_,
-                                    *aggs_, &ctx_->eval, table, &gov));
-    if (stats_ != nullptr) RecordPeakMem(stats_, charge->peak());
-    return sub->engaged() ? Add(std::move(sub)) : Status::OK();
-  }
-
- private:
-  struct Work {
-    storage::SpillFile* file;
-    storage::SpillRun run;
-    int level;
-  };
-
-  const std::vector<ExprPtr>* group_exprs_;
-  const std::vector<AggSpec>* aggs_;
-  ExecContext* ctx_;
-  OperatorStats* stats_;
-  const char* op_name_;
-  std::vector<Work> work_;
-  std::vector<std::unique_ptr<AggSpill>> files_;  // keeps spill data alive
-};
-
-// Streams the aggregate's output when the build spilled: emits the
-// finalized in-memory groups first, then lazily re-aggregates one spill
-// partition at a time (each under a fresh budget charge; partitions that
-// still blow the budget sub-partition recursively with a new hash salt).
-// Owns every spill file involved, so the data is deleted with the
-// iterator.
-class SpilledAggIterator : public BatchIterator {
- public:
-  SpilledAggIterator(std::vector<RowBatch> ready, MemoryCharge charge,
-                     AggSpillQueue queue,
-                     const std::vector<ExprPtr>* group_exprs,
-                     const std::vector<AggSpec>* aggs, size_t batch_rows)
-      : ready_(std::move(ready)),
-        charge_(std::move(charge)),
-        queue_(std::move(queue)),
-        group_exprs_(group_exprs),
-        aggs_(aggs),
-        batch_rows_(batch_rows) {}
-
- protected:
-  bool ProduceBatch(RowBatch* batch) override {
-    if (!status_.ok()) return false;
-    for (;;) {
-      while (next_ready_ < ready_.size()) {
-        *batch = std::move(ready_[next_ready_++]);
-        if (batch->ActiveRows() > 0) return true;
-      }
-      if (queue_.empty()) return false;
-      status_ = ProcessNextPartition();
-      if (!status_.ok()) return false;
-    }
-  }
-
- private:
-  Status ProcessNextPartition() {
-    ready_.clear();
-    next_ready_ = 0;
-    charge_.ReleaseAll();  // the previous partition's rows are consumed
-    GroupTable groups(group_exprs_->size(), *aggs_);
-    HTG_RETURN_IF_ERROR(queue_.ReaggregateNext(&groups, &charge_));
-    HTG_ASSIGN_OR_RETURN(ready_, groups.TakeBatches(false, batch_rows_));
-    return Status::OK();
-  }
-
-  std::vector<RowBatch> ready_;
-  size_t next_ready_ = 0;
-  MemoryCharge charge_;
-  AggSpillQueue queue_;
-  const std::vector<ExprPtr>* group_exprs_;
-  const std::vector<AggSpec>* aggs_;
-  size_t batch_rows_;
-};
+// Re-aggregates the next queued partition into `table`, charging its new
+// groups to `gov.charge`; keys the budget refuses spill one level deeper
+// (the pass salts its hash with the partition's level) and join the queue.
+Status ReaggregateNext(SpillQueue* queue,
+                       const std::vector<ExprPtr>& group_exprs,
+                       const std::vector<AggSpec>& aggs, OperatorStats* stats,
+                       AggGovernance gov, GroupTable* table) {
+  HTG_ASSIGN_OR_RETURN(SpillPartition part, queue->Pop(gov.op_name));
+  auto sub = std::make_unique<PartitionSpill>(gov.ctx->tablespace, "agg",
+                                              part.level, stats);
+  gov.spill = sub.get();
+  storage::SpillRunReader reader(part.file, std::move(part.runs[0]));
+  HTG_RETURN_IF_ERROR(BuildGroups(&reader, gov.ctx->batch_rows, group_exprs,
+                                  aggs, &gov.ctx->eval, table, &gov));
+  RecordPeakMem(stats, gov.charge->peak());
+  return sub->engaged() ? queue->Push(std::move(sub)) : Status::OK();
+}
 
 // Wraps an aggregate with DISTINCT semantics: argument tuples are
 // deduplicated by Value equality (the order of Value::Compare, so 1.0000001
@@ -563,8 +405,8 @@ Result<std::unique_ptr<storage::RowIterator>> HashAggregateOp::OpenImpl(
                        child_->Open(ctx));
   OperatorStats* stats = mutable_stats();
   MemoryCharge charge(ctx->mem.get(), "Hash Match (Aggregate)");
-  auto spill = std::make_unique<AggSpill>(
-      ctx->tablespace, 0, stats);
+  auto spill =
+      std::make_unique<PartitionSpill>(ctx->tablespace, "agg", 0, stats);
   AggGovernance gov{&charge, ctx, spill.get(), "Hash Match (Aggregate)"};
   GroupTable groups(group_exprs_.size(), aggs_);
   HTG_RETURN_IF_ERROR(BuildGroups(child.get(), ctx->batch_rows, group_exprs_,
@@ -575,16 +417,28 @@ Result<std::unique_ptr<storage::RowIterator>> HashAggregateOp::OpenImpl(
       std::vector<RowBatch> batches,
       groups.TakeBatches(group_exprs_.empty() && !spill->engaged(),
                          ctx->batch_rows));
-  if (!spill->engaged()) {
-    return {std::make_unique<ChargedBatchesIterator>(std::move(batches),
-                                                     std::move(charge))};
-  }
-  AggSpillQueue queue(&group_exprs_, &aggs_, ctx, stats,
-                      "Hash Match (Aggregate)");
-  HTG_RETURN_IF_ERROR(queue.Add(std::move(spill)));
-  return {std::make_unique<SpilledAggIterator>(
-      std::move(batches), std::move(charge), std::move(queue), &group_exprs_,
-      &aggs_, ctx->batch_rows)};
+  auto resident = std::make_unique<MaterializedBatchesIterator>(
+      std::move(batches), std::move(charge));
+  if (!spill->engaged()) return {std::move(resident)};
+  // Then one spill partition at a time, each re-aggregated under a fresh
+  // charge (partitions that still exceed the budget spill a level deeper).
+  SpillQueue queue;
+  HTG_RETURN_IF_ERROR(queue.Push(std::move(spill)));
+  return {std::make_unique<SpilledOutputIterator>(
+      std::move(resident), std::move(queue),
+      [this, ctx, stats](SpillQueue* queue)
+          -> Result<std::unique_ptr<storage::RowIterator>> {
+        MemoryCharge charge(ctx->mem.get(), "Hash Match (Aggregate)");
+        GroupTable groups(group_exprs_.size(), aggs_);
+        HTG_RETURN_IF_ERROR(ReaggregateNext(
+            queue, group_exprs_, aggs_, stats,
+            AggGovernance{&charge, ctx, nullptr, "Hash Match (Aggregate)"},
+            &groups));
+        HTG_ASSIGN_OR_RETURN(std::vector<RowBatch> batches,
+                             groups.TakeBatches(false, ctx->batch_rows));
+        return {std::make_unique<MaterializedBatchesIterator>(
+            std::move(batches), std::move(charge))};
+      })};
 }
 
 std::string HashAggregateOp::Describe() const {
@@ -755,8 +609,8 @@ Result<std::unique_ptr<storage::RowIterator>> ParallelAggregateOp::OpenImpl(
   // and in the spill partitions, so the spill path below merges
   // everything (tables and re-aggregated partitions) into one final table.
   MemoryCharge charge(ctx->mem.get(), "Parallel Hash Match (Aggregate)");
-  auto spill = std::make_unique<AggSpill>(
-      ctx->tablespace, 0, stats);
+  auto spill =
+      std::make_unique<PartitionSpill>(ctx->tablespace, "agg", 0, stats);
   AggGovernance gov{&charge, ctx, spill.get(),
                     "Parallel Hash Match (Aggregate)"};
 
@@ -796,20 +650,21 @@ Result<std::unique_ptr<storage::RowIterator>> ParallelAggregateOp::OpenImpl(
     // Each pass re-aggregates straight into the merged table, charging
     // its new groups to a fresh pass budget: keys are owned by exactly
     // one partition per level, so a pass only meets build-time residents.
-    AggSpillQueue queue(&group_exprs_, &aggs_, ctx, stats,
-                        "Parallel Hash Match (Aggregate)");
-    HTG_RETURN_IF_ERROR(queue.Add(std::move(spill)));
+    SpillQueue queue;
+    HTG_RETURN_IF_ERROR(queue.Push(std::move(spill)));
     while (!queue.empty()) {
       MemoryCharge pass_charge(ctx->mem.get(),
                                "Parallel Hash Match (Aggregate)");
-      HTG_RETURN_IF_ERROR(queue.ReaggregateNext(&merged, &pass_charge));
+      gov.charge = &pass_charge;
+      HTG_RETURN_IF_ERROR(
+          ReaggregateNext(&queue, group_exprs_, aggs_, stats, gov, &merged));
     }
     charge.AddUnchecked(merged.bytes());
     RecordPeakMem(stats, charge.peak());
     HTG_ASSIGN_OR_RETURN(std::vector<RowBatch> batches,
                          merged.TakeBatches(false, ctx->batch_rows));
-    return {std::make_unique<ChargedBatchesIterator>(std::move(batches),
-                                                     std::move(charge))};
+    return {std::make_unique<MaterializedBatchesIterator>(std::move(batches),
+                                                         std::move(charge))};
   }
 
   // Final phase: a parallel partitioned merge instead of a serial fold.
@@ -839,8 +694,8 @@ Result<std::unique_ptr<storage::RowIterator>> ParallelAggregateOp::OpenImpl(
     part.clear();
   }
   RecordPeakMem(stats, charge.peak());
-  return {std::make_unique<ChargedBatchesIterator>(std::move(batches),
-                                                   std::move(charge))};
+  return {std::make_unique<MaterializedBatchesIterator>(std::move(batches),
+                                                       std::move(charge))};
 }
 
 std::string ParallelAggregateOp::Describe() const {

@@ -2,7 +2,6 @@
 
 #include "common/string_util.h"
 #include "exec/batch.h"
-#include "exec/spill_util.h"
 #include "storage/clustered_table.h"
 #include "storage/heap_table.h"
 
@@ -242,8 +241,8 @@ Result<std::unique_ptr<storage::RowIterator>> ValuesOp::OpenImpl(
     batches.back().AppendRow(std::move(row));
   }
   RecordPeakMem(mutable_stats(), charge.peak());
-  return {std::make_unique<ChargedBatchesIterator>(std::move(batches),
-                                                   std::move(charge))};
+  return {std::make_unique<MaterializedBatchesIterator>(std::move(batches),
+                                                       std::move(charge))};
 }
 
 std::string ValuesOp::Describe() const {
@@ -276,8 +275,8 @@ Result<std::unique_ptr<storage::RowIterator>> OpenRowsetOp::OpenImpl(
   RecordPeakMem(mutable_stats(), charge.peak());
   std::vector<RowBatch> batches(1);
   batches[0].AppendRow(std::move(row));
-  return {std::make_unique<ChargedBatchesIterator>(std::move(batches),
-                                                   std::move(charge))};
+  return {std::make_unique<MaterializedBatchesIterator>(std::move(batches),
+                                                       std::move(charge))};
 }
 
 std::string OpenRowsetOp::Describe() const {

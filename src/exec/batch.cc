@@ -33,6 +33,7 @@ bool RowReader::Next(Row* row) {
 
 bool MaterializedBatchesIterator::ProduceBatch(RowBatch* batch) {
   while (next_ < batches_.size()) {
+    charge_.Release(charge_.held() / (batches_.size() - next_));
     *batch = std::move(batches_[next_++]);
     if (batch->ActiveRows() > 0) return true;
   }

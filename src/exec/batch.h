@@ -4,6 +4,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/memory.h"
 #include "common/result.h"
 #include "storage/table.h"
 #include "types/row_batch.h"
@@ -64,18 +65,24 @@ class RowReader {
   size_t pos_ = 0;
 };
 
-// Iterator over pre-materialized batches: sort, aggregate and
-// constant-scan output.
+// Iterator over an operator's materialized output (sort, aggregates,
+// constant scan, bulk import, the parallel gather) and the MemoryCharge
+// that accounts for it. Each batch releases its share of the charge as it
+// leaves, and the last batch the rest, so the charge covers only what is
+// still held: a consumer that charges the rows it keeps (a Sort above an
+// aggregate or a gather) does not count them a second time.
 class MaterializedBatchesIterator : public BatchIterator {
  public:
-  explicit MaterializedBatchesIterator(std::vector<RowBatch> batches)
-      : batches_(std::move(batches)) {}
+  MaterializedBatchesIterator(std::vector<RowBatch> batches,
+                              MemoryCharge charge)
+      : batches_(std::move(batches)), charge_(std::move(charge)) {}
 
  protected:
   bool ProduceBatch(RowBatch* batch) override;
 
  private:
   std::vector<RowBatch> batches_;
+  MemoryCharge charge_;
   size_t next_ = 0;
 };
 

@@ -40,23 +40,14 @@ using BuildMap = std::unordered_map<Row, std::vector<Row>, RowHash, RowEq>;
 // vector slot) on top of the key's and row's own bytes.
 constexpr size_t kJoinEntryOverheadBytes = 96;
 
-// Evaluates the join keys of `row` into `out`, reusing its capacity (the
-// grace join's probe loop keeps one key row for the whole stream).
-Status EvalKeysInto(const std::vector<ExprPtr>& keys, udf::EvalContext* eval,
-                    const Row& row, Row* out) {
-  out->clear();
-  for (const ExprPtr& k : keys) {
-    HTG_ASSIGN_OR_RETURN(Value v, k->Eval(eval, row));
-    out->push_back(std::move(v));
-  }
-  return Status::OK();
-}
-
 Result<Row> EvalKeys(const std::vector<ExprPtr>& keys, udf::EvalContext* eval,
                      const Row& row) {
   Row out;
   out.reserve(keys.size());
-  HTG_RETURN_IF_ERROR(EvalKeysInto(keys, eval, row, &out));
+  for (const ExprPtr& k : keys) {
+    HTG_ASSIGN_OR_RETURN(Value v, k->Eval(eval, row));
+    out.push_back(std::move(v));
+  }
   return out;
 }
 
@@ -79,25 +70,39 @@ std::string DescribeJoinKeys(const std::vector<ExprPtr>& l,
   return out;
 }
 
+// The sides of the hash join's partition spill.
+constexpr size_t kBuildSide = 0;
+constexpr size_t kProbeSide = 1;
+
+// What every pass of one hash join shares: the pass over its inputs and
+// the pass over each spilled partition.
+struct JoinSpec {
+  const std::vector<ExprPtr>* left_keys;
+  const std::vector<ExprPtr>* right_keys;
+  bool left_outer;
+  int right_width;
+  const char* op_name;
+  ExecContext* ctx;
+  OperatorStats* stats;
+};
+
 // Probes the build table a batch of left rows at a time: the batch kernels
 // evaluate the left keys over the whole batch, and a joined row copies
 // the left values straight out of the batch columns.
 class HashJoinIterator : public storage::RowSource {
  public:
   HashJoinIterator(std::unique_ptr<storage::RowIterator> left, BuildMap build,
-                   const std::vector<ExprPtr>* left_keys,
-                   udf::EvalContext* eval, bool left_outer, int right_width,
-                   MemoryCharge charge, size_t batch_rows)
+                   MemoryCharge charge, const JoinSpec& spec)
       : left_(std::move(left)),
         build_(std::move(build)),
-        left_keys_(left_keys),
-        eval_(eval),
-        left_outer_(left_outer),
-        right_width_(right_width),
+        left_keys_(spec.left_keys),
+        eval_(&spec.ctx->eval),
+        left_outer_(spec.left_outer),
+        right_width_(spec.right_width),
         charge_(std::move(charge)),
-        batch_(std::min(batch_rows, RowReader::kMaxRows)),
-        key_cols_(left_keys->size()),
-        key_(left_keys->size()) {}
+        batch_(std::min(spec.ctx->batch_rows, RowReader::kMaxRows)),
+        key_cols_(left_keys_->size()),
+        key_(left_keys_->size()) {}
 
   Status status() const override { return status_; }
 
@@ -177,269 +182,100 @@ class HashJoinIterator : public storage::RowSource {
   Status status_;
 };
 
-// One spilled join partition: a build run and a probe run on the same
-// spill file, paired by partition index. `level` is the recursion depth
-// of the pass that will process it.
-struct JoinSpillWork {
-  storage::SpillFile* file;
-  storage::SpillRun build;
-  storage::SpillRun probe;
-  int level;
+// One pass's build side: the table and the charge that accounts for it,
+// or, once the budget refused an entry, the partition spill that took
+// every build row.
+struct JoinBuild {
+  BuildMap table;
+  MemoryCharge charge;
+  std::unique_ptr<PartitionSpill> spill;
 };
 
-// Partitioned spill sink for a grace hash join (build rows and probe
-// rows hashed into paired runs, plus an optional run for NULL-keyed
-// probe rows that a left-outer join must still pad and emit).
-class JoinSpill {
- public:
-  JoinSpill(storage::TableSpace* space, int level, OperatorStats* stats,
-            bool with_null_run)
-      : space_(space),
-        level_(level),
-        stats_(stats),
-        with_null_run_(with_null_run) {}
-
-  Status Open() {
-    HTG_ASSIGN_OR_RETURN(file_, storage::SpillFile::Create(space_, "join"));
-    build_writers_.reserve(kSpillPartitions);
-    probe_writers_.reserve(kSpillPartitions);
-    for (size_t p = 0; p < kSpillPartitions; ++p) {
-      build_writers_.push_back(
-          std::make_unique<storage::SpillRunWriter>(file_.get()));
-      probe_writers_.push_back(
-          std::make_unique<storage::SpillRunWriter>(file_.get()));
-    }
-    if (with_null_run_) {
-      null_writer_ = std::make_unique<storage::SpillRunWriter>(file_.get());
-    }
-    return Status::OK();
-  }
-
-  int level() const { return level_; }
-  storage::SpillFile* file() { return file_.get(); }
-  std::unique_ptr<storage::SpillFile> TakeFile() { return std::move(file_); }
-  storage::SpillRun TakeNullRun() { return std::move(null_run_); }
-
-  Status AddBuild(const Row& key, const Row& row) {
-    return build_writers_[SpillRowHash(key, level_) % kSpillPartitions]
-        ->Add(row);
-  }
-  Status AddProbe(const Row& key, const Row& row) {
-    return probe_writers_[SpillRowHash(key, level_) % kSpillPartitions]
-        ->Add(row);
-  }
-  Status AddNullProbe(const Row& row) { return null_writer_->Add(row); }
-
-  // Seals all partitions and flushes the file, so injected write faults
-  // surface inside the statement. A partition with no probe rows can
-  // never produce output and is dropped here.
-  Result<std::vector<JoinSpillWork>> Finish() {
-    std::vector<JoinSpillWork> work;
-    for (size_t p = 0; p < kSpillPartitions; ++p) {
-      storage::SpillRun build;
-      storage::SpillRun probe;
-      if (build_writers_[p]->rows() > 0) {
-        HTG_ASSIGN_OR_RETURN(build, FinishOne(build_writers_[p].get()));
-      }
-      if (probe_writers_[p]->rows() > 0) {
-        HTG_ASSIGN_OR_RETURN(probe, FinishOne(probe_writers_[p].get()));
-      }
-      if (probe.rows == 0) continue;
-      work.push_back(JoinSpillWork{file_.get(), std::move(build),
-                                   std::move(probe), level_ + 1});
-    }
-    build_writers_.clear();
-    probe_writers_.clear();
-    if (null_writer_ != nullptr && null_writer_->rows() > 0) {
-      HTG_ASSIGN_OR_RETURN(null_run_, FinishOne(null_writer_.get()));
-    }
-    null_writer_.reset();
-    HTG_RETURN_IF_ERROR(file_->Flush());
-    return work;
-  }
-
- private:
-  Result<storage::SpillRun> FinishOne(storage::SpillRunWriter* writer) {
-    HTG_ASSIGN_OR_RETURN(storage::SpillRun run, writer->Finish());
-    if (stats_ != nullptr) {
-      stats_->spill_runs.fetch_add(1, std::memory_order_relaxed);
-      stats_->spill_bytes.fetch_add(run.bytes, std::memory_order_relaxed);
-    }
-    return run;
-  }
-
-  storage::TableSpace* space_;
-  int level_;
-  OperatorStats* stats_;
-  bool with_null_run_;
-  std::unique_ptr<storage::SpillFile> file_;
-  std::vector<std::unique_ptr<storage::SpillRunWriter>> build_writers_;
-  std::vector<std::unique_ptr<storage::SpillRunWriter>> probe_writers_;
-  std::unique_ptr<storage::SpillRunWriter> null_writer_;
-  storage::SpillRun null_run_;
-};
-
-// Streams a spilled (grace) hash join: per partition, the build run is
-// loaded into an in-memory table under the budget charge and the probe
-// run streamed against it; partitions whose build side still exceeds the
-// budget re-partition both runs with a deeper hash salt and re-queue.
-// Output order differs from the in-memory join. Owns every spill file,
-// so the data is deleted with the iterator.
-class GraceHashJoinIterator : public storage::RowSource {
- public:
-  GraceHashJoinIterator(std::vector<std::unique_ptr<storage::SpillFile>> files,
-                        std::vector<JoinSpillWork> work,
-                        storage::SpillRun null_run,
-                        const std::vector<ExprPtr>* left_keys,
-                        const std::vector<ExprPtr>* right_keys,
-                        ExecContext* ctx, OperatorStats* stats,
-                        bool left_outer, int right_width, const char* op_name,
-                        MemoryCharge charge)
-      : files_(std::move(files)),
-        worklist_(std::move(work)),
-        left_keys_(left_keys),
-        right_keys_(right_keys),
-        ctx_(ctx),
-        stats_(stats),
-        left_outer_(left_outer),
-        right_width_(right_width),
-        op_name_(op_name),
-        charge_(std::move(charge)) {
-    if (left_outer_ && null_run.rows > 0 && !files_.empty()) {
-      null_reader_ = std::make_unique<storage::SpillRunReader>(
-          files_.front().get(), std::move(null_run));
-    }
-  }
-
-  Status status() const override { return status_; }
-
- protected:
-  bool NextRow(Row* out) override {
-    if (!status_.ok()) return false;
-    for (;;) {
-      if (matches_ != nullptr && match_index_ < matches_->size()) {
-        *out = ConcatRows(probe_row_, (*matches_)[match_index_++]);
-        return true;
-      }
-      matches_ = nullptr;
-      if (probe_ != nullptr) {
-        if (probe_->NextRow(&probe_row_)) {
-          status_ = EvalKeysInto(*left_keys_, &ctx_->eval, probe_row_, &key_);
-          if (!status_.ok()) return false;
-          auto it = build_.find(key_);
-          if (it == build_.end()) {
-            if (left_outer_) {
-              *out = ConcatRows(probe_row_, Row(right_width_, Value::Null()));
-              return true;
-            }
-            continue;
-          }
-          matches_ = &it->second;
-          match_index_ = 0;
-          continue;
-        }
-        status_ = probe_->status();
-        if (!status_.ok()) return false;
-        probe_.reset();
-        build_.clear();
-        charge_.ReleaseAll();
-      }
-      if (null_reader_ != nullptr) {
-        if (null_reader_->NextRow(&probe_row_)) {
-          *out = ConcatRows(probe_row_, Row(right_width_, Value::Null()));
-          return true;
-        }
-        status_ = null_reader_->status();
-        if (!status_.ok()) return false;
-        null_reader_.reset();
-      }
-      if (worklist_.empty()) return false;
-      const Status s = LoadNextPartition();
-      if (!s.ok()) {
-        status_ = s;
-        return false;
-      }
-    }
-  }
-
- private:
-  Status LoadNextPartition() {
-    JoinSpillWork work = std::move(worklist_.back());
-    worklist_.pop_back();
-    if (work.level > kMaxSpillDepth) return SpillDepthError(op_name_);
-    build_.clear();
-    charge_.ReleaseAll();
-    storage::SpillRunReader build_reader(work.file, std::move(work.build));
-    std::unique_ptr<JoinSpill> sub;
-    Row row;
-    while (build_reader.NextRow(&row)) {
-      HTG_ASSIGN_OR_RETURN(Row key, EvalKeys(*right_keys_, &ctx_->eval, row));
-      if (sub != nullptr) {
-        HTG_RETURN_IF_ERROR(sub->AddBuild(key, row));
-        continue;
-      }
+// The build loop of every hash-join pass, at spill `level`: 0 over the
+// right input, a partition's level over its build run. NULL keys never
+// match and are dropped. Each entry is charged; on the first refused
+// charge the resident table and every remaining row go into a partition
+// spill at `level`.
+Result<JoinBuild> BuildJoinTable(const JoinSpec& spec,
+                                 storage::RowIterator* input, int level) {
+  ExecContext* ctx = spec.ctx;
+  JoinBuild build{BuildMap(), MemoryCharge(ctx->mem.get(), spec.op_name),
+                  nullptr};
+  RowReader rows(input, ctx->batch_rows);
+  Row row;
+  while (rows.Next(&row)) {
+    HTG_ASSIGN_OR_RETURN(Row key, EvalKeys(*spec.right_keys, &ctx->eval, row));
+    bool has_null = false;
+    for (const Value& v : key) has_null = has_null || v.is_null();
+    if (has_null) continue;
+    if (build.spill == nullptr) {
       const size_t bytes =
           ApproxRowBytes(key) + ApproxRowBytes(row) + kJoinEntryOverheadBytes;
-      const Status charged = charge_.Add(bytes);
+      const Status charged = build.charge.Add(bytes);
       if (charged.ok()) {
-        build_[std::move(key)].push_back(std::move(row));
+        build.table[std::move(key)].push_back(std::move(row));
         continue;
       }
-      charge_.Release(bytes);
+      build.charge.Release(bytes);
       if (!charged.IsResourceExhausted()) return charged;
-      // This partition's build side alone busts the budget: push the
-      // resident table (and everything still unread) one level deeper.
-      sub = std::make_unique<JoinSpill>(ctx_->tablespace, work.level, stats_,
-                                        /*with_null_run=*/false);
-      HTG_RETURN_IF_ERROR(sub->Open());
-      for (auto& [bkey, brows] : build_) {
+      if (!ctx->CanSpill()) {
+        return SpillUnavailableError(spec.op_name, *ctx->mem);
+      }
+      build.spill = std::make_unique<PartitionSpill>(
+          ctx->tablespace, "join", level, spec.stats, /*sides=*/2);
+      for (const auto& [bkey, brows] : build.table) {
         for (const Row& brow : brows) {
-          HTG_RETURN_IF_ERROR(sub->AddBuild(bkey, brow));
+          HTG_RETURN_IF_ERROR(build.spill->Add(bkey, brow, kBuildSide));
         }
       }
-      build_.clear();
-      charge_.ReleaseAll();
-      HTG_RETURN_IF_ERROR(sub->AddBuild(key, row));
+      build.table.clear();
+      build.charge.ReleaseAll();
     }
-    HTG_RETURN_IF_ERROR(build_reader.status());
-    if (sub == nullptr) {
-      if (stats_ != nullptr) RecordPeakMem(stats_, charge_.peak());
-      probe_ = std::make_unique<storage::SpillRunReader>(work.file,
-                                                         std::move(work.probe));
-      return Status::OK();
-    }
-    storage::SpillRunReader probe_reader(work.file, std::move(work.probe));
-    while (probe_reader.NextRow(&row)) {
-      HTG_ASSIGN_OR_RETURN(Row key, EvalKeys(*left_keys_, &ctx_->eval, row));
-      HTG_RETURN_IF_ERROR(sub->AddProbe(key, row));
-    }
-    HTG_RETURN_IF_ERROR(probe_reader.status());
-    HTG_ASSIGN_OR_RETURN(std::vector<JoinSpillWork> sub_work, sub->Finish());
-    for (JoinSpillWork& w : sub_work) worklist_.push_back(std::move(w));
-    files_.push_back(sub->TakeFile());
-    return Status::OK();
+    HTG_RETURN_IF_ERROR(build.spill->Add(key, row, kBuildSide));
   }
+  HTG_RETURN_IF_ERROR(rows.status());
+  RecordPeakMem(spec.stats, build.charge.peak());
+  return build;
+}
 
-  // Files outlive the readers below (destruction is reverse order).
-  std::vector<std::unique_ptr<storage::SpillFile>> files_;
-  std::vector<JoinSpillWork> worklist_;
-  const std::vector<ExprPtr>* left_keys_;
-  const std::vector<ExprPtr>* right_keys_;
-  ExecContext* ctx_;
-  OperatorStats* stats_;
-  bool left_outer_;
-  int right_width_;
-  const char* op_name_;
-  MemoryCharge charge_;
-  BuildMap build_;
-  std::unique_ptr<storage::SpillRunReader> probe_;
-  std::unique_ptr<storage::SpillRunReader> null_reader_;
-  Row probe_row_;
-  Row key_;
-  const std::vector<Row>* matches_ = nullptr;
-  size_t match_index_ = 0;
-  Status status_;
-};
+// The probe of every hash-join pass: the HashJoinIterator over `probe`
+// when the build side fit. Otherwise the probe rows follow the build rows
+// into their partitions, NULL keys included (a left-outer join pads them
+// in their partition's pass), the partitions with probe rows are queued,
+// and the result is null.
+Result<std::unique_ptr<storage::RowIterator>> ProbeJoinTable(
+    const JoinSpec& spec, JoinBuild build,
+    std::unique_ptr<storage::RowIterator> probe, SpillQueue* queue) {
+  if (build.spill == nullptr) {
+    return {std::make_unique<HashJoinIterator>(
+        std::move(probe), std::move(build.table), std::move(build.charge),
+        spec)};
+  }
+  RowReader rows(probe.get(), spec.ctx->batch_rows);
+  Row row;
+  while (rows.Next(&row)) {
+    HTG_ASSIGN_OR_RETURN(Row key,
+                         EvalKeys(*spec.left_keys, &spec.ctx->eval, row));
+    HTG_RETURN_IF_ERROR(build.spill->Add(key, row, kProbeSide));
+  }
+  HTG_RETURN_IF_ERROR(rows.status());
+  HTG_RETURN_IF_ERROR(queue->Push(std::move(build.spill), kProbeSide));
+  return {nullptr};
+}
+
+// Runs the join again on the next spilled partition, one level deeper.
+Result<std::unique_ptr<storage::RowIterator>> OpenJoinPartition(
+    const JoinSpec& spec, SpillQueue* queue) {
+  HTG_ASSIGN_OR_RETURN(SpillPartition part, queue->Pop(spec.op_name));
+  storage::SpillRunReader build_run(part.file,
+                                    std::move(part.runs[kBuildSide]));
+  HTG_ASSIGN_OR_RETURN(JoinBuild build,
+                       BuildJoinTable(spec, &build_run, part.level));
+  return ProbeJoinTable(spec, std::move(build),
+                        std::make_unique<storage::SpillRunReader>(
+                            part.file, std::move(part.runs[kProbeSide])),
+                        queue);
+}
 
 // Streaming merge join. Both inputs ascend on their keys; buffers the
 // right-side group matching the current key (charged against the query
@@ -680,87 +516,29 @@ HashJoinOp::HashJoinOp(OperatorPtr left, OperatorPtr right,
 
 Result<std::unique_ptr<storage::RowIterator>> HashJoinOp::OpenImpl(
     ExecContext* ctx) {
-  const char* op_name = left_outer_ ? "Hash Match (Left Outer Join)"
-                                    : "Hash Match (Inner Join)";
+  const JoinSpec spec{&left_keys_,
+                      &right_keys_,
+                      left_outer_,
+                      right_->output_schema().num_columns(),
+                      left_outer_ ? "Hash Match (Left Outer Join)"
+                                  : "Hash Match (Inner Join)",
+                      ctx,
+                      mutable_stats()};
   HTG_ASSIGN_OR_RETURN(std::unique_ptr<storage::RowIterator> right,
                        right_->Open(ctx));
-  OperatorStats* stats = mutable_stats();
-  MemoryCharge charge(ctx->mem.get(), op_name);
-  BuildMap build;
-  std::unique_ptr<JoinSpill> spill;  // engaged when the build overflows
-  RowReader build_rows(right.get(), ctx->batch_rows);
-  Row row;
-  while (build_rows.Next(&row)) {
-    HTG_ASSIGN_OR_RETURN(Row key, EvalKeys(right_keys_, &ctx->eval, row));
-    // NULL build keys never match; drop them here.
-    bool has_null = false;
-    for (const Value& v : key) has_null = has_null || v.is_null();
-    if (has_null) continue;
-    if (spill != nullptr) {
-      HTG_RETURN_IF_ERROR(spill->AddBuild(key, row));
-      row.clear();
-      continue;
-    }
-    const size_t bytes =
-        ApproxRowBytes(key) + ApproxRowBytes(row) + kJoinEntryOverheadBytes;
-    const Status charged = charge.Add(bytes);
-    if (charged.ok()) {
-      build[std::move(key)].push_back(std::move(row));
-      row.clear();
-      continue;
-    }
-    charge.Release(bytes);
-    if (!charged.IsResourceExhausted()) return charged;
-    if (!ctx->CanSpill()) return SpillUnavailableError(op_name, *ctx->mem);
-    // Degrade to a grace hash join: dump the resident build table into
-    // hash partitions and keep routing the rest of both inputs there.
-    spill = std::make_unique<JoinSpill>(ctx->tablespace, /*level=*/0, stats,
-                                        /*with_null_run=*/left_outer_);
-    HTG_RETURN_IF_ERROR(spill->Open());
-    for (auto& [bkey, brows] : build) {
-      for (const Row& brow : brows) {
-        HTG_RETURN_IF_ERROR(spill->AddBuild(bkey, brow));
-      }
-    }
-    build.clear();
-    charge.ReleaseAll();
-    HTG_RETURN_IF_ERROR(spill->AddBuild(key, row));
-    row.clear();
-  }
-  HTG_RETURN_IF_ERROR(build_rows.status());
+  HTG_ASSIGN_OR_RETURN(JoinBuild build, BuildJoinTable(spec, right.get(), 0));
   HTG_ASSIGN_OR_RETURN(std::unique_ptr<storage::RowIterator> left,
                        left_->Open(ctx));
-  if (spill == nullptr) {
-    RecordPeakMem(stats, charge.peak());
-    return {std::make_unique<HashJoinIterator>(
-        std::move(left), std::move(build), &left_keys_, &ctx->eval,
-        left_outer_, right_->output_schema().num_columns(),
-        std::move(charge), ctx->batch_rows)};
-  }
-  // Route the probe side into the matching partitions. NULL-keyed probe
-  // rows match nothing: an inner join drops them, a left-outer join
-  // parks them in a dedicated run to pad later.
-  RowReader probe_rows(left.get(), ctx->batch_rows);
-  while (probe_rows.Next(&row)) {
-    HTG_ASSIGN_OR_RETURN(Row key, EvalKeys(left_keys_, &ctx->eval, row));
-    bool has_null = false;
-    for (const Value& v : key) has_null = has_null || v.is_null();
-    if (has_null) {
-      if (left_outer_) HTG_RETURN_IF_ERROR(spill->AddNullProbe(row));
-      continue;
-    }
-    HTG_RETURN_IF_ERROR(spill->AddProbe(key, row));
-  }
-  HTG_RETURN_IF_ERROR(probe_rows.status());
-  HTG_ASSIGN_OR_RETURN(std::vector<JoinSpillWork> work, spill->Finish());
-  storage::SpillRun null_run = spill->TakeNullRun();
-  std::vector<std::unique_ptr<storage::SpillFile>> files;
-  files.push_back(spill->TakeFile());
-  RecordPeakMem(stats, charge.peak());
-  return {std::make_unique<GraceHashJoinIterator>(
-      std::move(files), std::move(work), std::move(null_run), &left_keys_,
-      &right_keys_, ctx, stats, left_outer_,
-      right_->output_schema().num_columns(), op_name, std::move(charge))};
+  SpillQueue queue;
+  HTG_ASSIGN_OR_RETURN(
+      std::unique_ptr<storage::RowIterator> join,
+      ProbeJoinTable(spec, std::move(build), std::move(left), &queue));
+  if (join != nullptr) return join;
+  // The build side spilled (a grace hash join): the same build and probe
+  // run on each partition in turn.
+  return {std::make_unique<SpilledOutputIterator>(
+      nullptr, std::move(queue),
+      [spec](SpillQueue* q) { return OpenJoinPartition(spec, q); })};
 }
 
 std::string HashJoinOp::Describe() const {

@@ -7,7 +7,6 @@
 #include "common/string_util.h"
 #include "common/synchronization.h"
 #include "exec/batch.h"
-#include "exec/spill_util.h"
 #include "storage/heap_table.h"
 
 namespace htg::exec {
@@ -204,37 +203,6 @@ Status OpenPerMorsel(
 // ParallelMapOp.
 // --------------------------------------------------------------------------
 
-namespace {
-
-// The gather's output: the buffered batches in morsel order. Each batch's
-// charge is released as the batch leaves, so the gather accounts only for
-// what it still holds, and a consumer that charges the rows it keeps
-// (Sort, a window) does not count them a second time.
-class GatherIterator : public BatchIterator {
- public:
-  GatherIterator(std::vector<RowBatch> batches, std::vector<size_t> bytes,
-                 MemoryCharge charge)
-      : batches_(std::move(batches)),
-        bytes_(std::move(bytes)),
-        charge_(std::move(charge)) {}
-
- protected:
-  bool ProduceBatch(RowBatch* batch) override {
-    if (next_ == batches_.size()) return false;
-    *batch = std::move(batches_[next_]);
-    charge_.Release(bytes_[next_++]);
-    return true;
-  }
-
- private:
-  std::vector<RowBatch> batches_;
-  std::vector<size_t> bytes_;  // the charge of each batch
-  MemoryCharge charge_;
-  size_t next_ = 0;
-};
-
-}  // namespace
-
 ParallelMapOp::ParallelMapOp(OperatorPtr child)
     : child_(std::move(child)), distribute_(FindDistribute(child_.get())) {}
 
@@ -249,35 +217,30 @@ Result<std::unique_ptr<storage::RowIterator>> ParallelMapOp::OpenImpl(
   // they fill, unchecked: the gather never fails or spills on them).
   MemoryCharge charge(ctx->mem.get(), "Gather Streams");
   std::vector<std::vector<RowBatch>> buffers(split.morsels.size());
-  std::vector<std::vector<size_t>> buffer_bytes(split.morsels.size());
   HTG_RETURN_IF_ERROR(OpenPerMorsel(
       child_.get(), split, ctx, stats,
       [&](int, size_t m, ExecContext* wctx,
           storage::RowIterator* iter) -> Status {
         HTG_RETURN_IF_ERROR(DrainBatches(iter, wctx->batch_rows, &buffers[m]));
-        size_t total = 0;
+        size_t bytes = 0;
         for (const RowBatch& batch : buffers[m]) {
-          buffer_bytes[m].push_back(ApproxBatchBytes(batch));
-          total += buffer_bytes[m].back();
+          bytes += ApproxBatchBytes(batch);
         }
-        charge.AddUnchecked(total);
+        charge.AddUnchecked(bytes);
         return Status::OK();
       }));
   RecordPeakMem(stats, charge.peak());
 
   // Gather in morsel order: output matches the serial heap scan order.
   size_t total = 0;
-  for (const std::vector<size_t>& b : buffer_bytes) total += b.size();
+  for (const std::vector<RowBatch>& b : buffers) total += b.size();
   std::vector<RowBatch> batches;
-  std::vector<size_t> bytes;
   batches.reserve(total);
-  bytes.reserve(total);
-  for (size_t m = 0; m < buffers.size(); ++m) {
-    for (RowBatch& batch : buffers[m]) batches.push_back(std::move(batch));
-    bytes.insert(bytes.end(), buffer_bytes[m].begin(), buffer_bytes[m].end());
+  for (std::vector<RowBatch>& buffer : buffers) {
+    for (RowBatch& batch : buffer) batches.push_back(std::move(batch));
   }
-  return {std::make_unique<GatherIterator>(
-      std::move(batches), std::move(bytes), std::move(charge))};
+  return {std::make_unique<MaterializedBatchesIterator>(std::move(batches),
+                                                       std::move(charge))};
 }
 
 std::string ParallelMapOp::Describe() const {

@@ -156,12 +156,8 @@ Result<std::unique_ptr<storage::RowIterator>> OpenSorted(
       }
       HTG_RETURN_IF_ERROR(writer.Add(record));
     }
-    HTG_ASSIGN_OR_RETURN(storage::SpillRun run, writer.Finish());
+    HTG_ASSIGN_OR_RETURN(storage::SpillRun run, FinishSpillRun(&writer, stats));
     HTG_RETURN_IF_ERROR(spill->Flush());
-    if (stats != nullptr) {
-      stats->spill_runs.fetch_add(1, std::memory_order_relaxed);
-      stats->spill_bytes.fetch_add(run.bytes, std::memory_order_relaxed);
-    }
     runs.push_back(std::move(run));
     batches.clear();
     at.clear();
@@ -278,8 +274,8 @@ Result<std::unique_ptr<storage::RowIterator>> OpenSorted(
     sorted.push_back(std::move(out));
   }
   if (stats != nullptr) RecordPeakMem(stats, charge.peak());
-  return {std::make_unique<ChargedBatchesIterator>(std::move(sorted),
-                                                   std::move(charge))};
+  return {std::make_unique<MaterializedBatchesIterator>(std::move(sorted),
+                                                       std::move(charge))};
 }
 
 Result<std::unique_ptr<storage::RowIterator>> SortOp::OpenImpl(

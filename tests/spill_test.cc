@@ -1,21 +1,26 @@
 // Memory governance and spill-to-disk degradation: parity between
 // in-memory and forced-spill execution for sort / hash aggregate / hash
-// join (one-row and default-size batches, DOP-8 parallel aggregation),
-// DISTINCT spilling like GROUP BY, typed kResourceExhausted failures when
-// spilling is unavailable, EXPLAIN ANALYZE spill reporting, and fault
-// injection into the spill write path through the Vfs seam (ENOSPC, torn
-// write, transient EIO) — after which the session keeps working and no
-// orphan spill files remain.
+// join (one-row and default-size batches, DOP-8 parallel aggregation,
+// NULL join keys, LEFT JOIN, re-partitioned join partitions), DISTINCT
+// spilling like GROUP BY, typed kResourceExhausted failures when spilling
+// is unavailable or the join's keys are too skewed, materialized output
+// that is charged once under a consumer, EXPLAIN ANALYZE spill reporting,
+// and fault injection into the aggregate's and the join's spill writes
+// through the Vfs seam (ENOSPC, torn write, transient EIO) — after which
+// the session keeps working and no orphan spill files remain.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/metrics.h"
+#include "exec/spill_util.h"
 #include "genomics/register.h"
 #include "sql/engine.h"
 #include "storage/fault_injection.h"
@@ -82,6 +87,32 @@ std::unique_ptr<Database> OpenLoaded(const std::string& tag,
   return std::move(*db);
 }
 
+// Creates table `name` (k INT, w BIGINT, s VARCHAR(64)) holding `rows`
+// rows: k = key(i), NULL where key(i) < 0; w = i; s = PayloadFor(i).
+void LoadKeyed(Database* db, const std::string& name, int rows,
+               const std::function<int(int)>& key) {
+  SqlEngine engine(db);
+  ASSERT_TRUE(engine
+                  .Execute("CREATE TABLE " + name +
+                           " (k INT, w BIGINT, s VARCHAR(64))")
+                  .ok());
+  catalog::TableDef* table = *db->GetTable(name);
+  for (int i = 0; i < rows; ++i) {
+    const int k = key(i);
+    const Status s = db->InsertRow(
+        table, Row{k < 0 ? Value::Null() : Value::Int32(k), Value::Int64(i),
+                   Value::String(PayloadFor(i))});
+    ASSERT_TRUE(s.ok()) << s.ToString();
+  }
+}
+
+// A join build side with one row per key, far larger than kTinyBudget:
+// each of its level-0 spill partitions still exceeds the budget.
+constexpr int kBigRows = 16000;
+void LoadBig(Database* db) {
+  LoadKeyed(db, "big", kBigRows, [](int i) { return i; });
+}
+
 std::vector<std::string> RowStrings(const QueryResult& r) {
   std::vector<std::string> out;
   out.reserve(r.rows.size());
@@ -100,6 +131,15 @@ uint64_t SpillRunsCounter() {
   const obs::MetricsSnapshot snap = obs::MetricsRegistry::Global().Snapshot();
   const auto it = snap.counters.find("exec.spill.runs");
   return it == snap.counters.end() ? 0 : it->second;
+}
+
+bool AnySpillFilesLeft(const std::string& root) {
+  const std::filesystem::path dir = root + "/tablespace";
+  if (!std::filesystem::exists(dir)) return false;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().filename().string().rfind("spill", 0) == 0) return true;
+  }
+  return false;
 }
 
 // Runs `sql` on both databases and asserts identical result multisets
@@ -184,6 +224,40 @@ TEST_P(SpillParityTest, GraceHashJoinMatchesInMemoryJoin) {
   ExpectParity(&ref_engine, &tiny_engine,
                "SELECT t.v, u.w FROM t JOIN u ON t.k = u.k WHERE u.w < 2000",
                /*ordered=*/false);
+  // NULL keys on both sides: they never match, and a LEFT JOIN pads its
+  // NULL-keyed probe rows in whichever partition they hash to.
+  for (Database* db : {ref.get(), tiny.get()}) {
+    LoadKeyed(db, "tn", kDimRows,
+              [](int i) { return i % 7 == 0 ? -1 : i % kGroups; });
+    LoadKeyed(db, "un", kDimRows,
+              [](int i) { return i % 11 == 0 ? -1 : i % kGroups; });
+  }
+  ExpectParity(&ref_engine, &tiny_engine,
+               "SELECT tn.w, un.w FROM tn JOIN un ON tn.k = un.k",
+               /*ordered=*/false);
+  ExpectParity(&ref_engine, &tiny_engine,
+               "SELECT tn.w, un.w FROM tn LEFT JOIN un ON tn.k = un.k",
+               /*ordered=*/false);
+}
+
+TEST_P(SpillParityTest, GraceHashJoinRepartitionsOversizedPartitions) {
+  // A build side many times the budget: its level-0 partitions exceed the
+  // budget too and are partitioned again one level deeper.
+  auto ref = OpenLoaded("deepref_" + std::to_string(GetParam()), 0, true,
+                        GetParam(), 1);
+  auto tiny = OpenLoaded("deeptiny_" + std::to_string(GetParam()),
+                         kTinyBudget, true, GetParam(), 1);
+  ASSERT_NE(ref, nullptr);
+  ASSERT_NE(tiny, nullptr);
+  LoadBig(ref.get());
+  LoadBig(tiny.get());
+  SqlEngine ref_engine(ref.get());
+  SqlEngine tiny_engine(tiny.get());
+  const uint64_t runs_before = SpillRunsCounter();
+  ExpectParity(&ref_engine, &tiny_engine,
+               "SELECT t.v, big.w, big.s FROM t JOIN big ON t.k = big.k",
+               /*ordered=*/false);
+  EXPECT_GT(SpillRunsCounter() - runs_before, 2 * exec::kSpillPartitions);
 }
 
 INSTANTIATE_TEST_SUITE_P(RowAndBatchModes, SpillParityTest,
@@ -203,6 +277,25 @@ TEST(SpillDisabledTest, OverBudgetFailsTypedAndSessionSurvives) {
         << sql << "\n--> " << r.status().ToString();
   }
   // The failures are statement-level: the same session keeps answering.
+  Result<QueryResult> alive = engine.Execute("SELECT COUNT(*) FROM t");
+  ASSERT_TRUE(alive.ok()) << alive.status().ToString();
+  EXPECT_EQ(alive->rows[0][0].AsInt64(), kRows);
+}
+
+TEST(SpillJoinTest, SingleKeySkewFailsTypedAtDepthLimit) {
+  // Every build row has the same key, so no level of re-partitioning
+  // splits it: the join gives up at the depth limit, typed.
+  auto db = OpenLoaded("skew", kTinyBudget, /*enable_spill=*/true, 0, 1);
+  ASSERT_NE(db, nullptr);
+  LoadKeyed(db.get(), "skew", 20000, [](int) { return 1; });
+  SqlEngine engine(db.get());
+  Result<QueryResult> r =
+      engine.Execute("SELECT t.v, skew.s FROM t JOIN skew ON t.k = skew.k");
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsResourceExhausted()) << r.status().ToString();
+  EXPECT_NE(r.status().message().find("exceeded depth 8"), std::string::npos)
+      << r.status().ToString();
+  EXPECT_FALSE(AnySpillFilesLeft(db->options().filestream_root));
   Result<QueryResult> alive = engine.Execute("SELECT COUNT(*) FROM t");
   ASSERT_TRUE(alive.ok()) << alive.status().ToString();
   EXPECT_EQ(alive->rows[0][0].AsInt64(), kRows);
@@ -282,6 +375,51 @@ TEST(SpillGatherTest, SortOverParallelGatherCountsRowsOnce) {
   }
 }
 
+// The KiB figure after `key` on the first line of `text` holding `marker`.
+double KiBOnLine(const std::string& text, const std::string& marker,
+                 const std::string& key) {
+  const size_t line = text.find(marker);
+  if (line == std::string::npos) return -1;
+  const size_t at = text.find(key, text.rfind('\n', line) + 1);
+  if (at == std::string::npos) return -1;
+  return std::strtod(text.c_str() + at + key.size(), nullptr);
+}
+
+TEST(SpillGatherTest, SortOverAggregateCountsGroupsOnce) {
+  // The aggregate releases its groups' charge batch by batch as the Sort
+  // above takes them, so the statement needs about the larger of the two
+  // operators, not their sum. One group per row makes both large.
+  const std::string sql = "SELECT s, COUNT(*) FROM t GROUP BY s ORDER BY s";
+  std::vector<std::string> want;
+  double agg_kib = 0;
+  {
+    auto db = OpenLoaded("aggsort_ref", 0, true, 0, 4);
+    ASSERT_NE(db, nullptr);
+    SqlEngine engine(db.get());
+    Result<QueryResult> ref = engine.Execute(sql);
+    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+    ASSERT_EQ(ref->rows.size(), static_cast<size_t>(kRows));
+    want = RowStrings(*ref);
+    Result<QueryResult> plan = engine.Execute("EXPLAIN ANALYZE " + sql);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    agg_kib = KiBOnLine(plan->message, "Aggregate", "peak-mem=");
+    const double sort_kib = KiBOnLine(plan->message, "Sort [", "peak-mem=");
+    const double total_kib =
+        KiBOnLine(plan->message, "memory: peak=", "memory: peak=");
+    ASSERT_GT(agg_kib, 0) << plan->message;
+    ASSERT_GT(sort_kib, 0) << plan->message;
+    EXPECT_LT(total_kib, agg_kib + sort_kib) << plan->message;
+  }
+
+  const auto budget = static_cast<int64_t>(agg_kib * 1024 * 3 / 2);
+  auto db = OpenLoaded("aggsort_nospill", budget, /*enable_spill=*/false, 0, 4);
+  ASSERT_NE(db, nullptr);
+  SqlEngine engine(db.get());
+  Result<QueryResult> got = engine.Execute(sql);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(RowStrings(*got), want);
+}
+
 TEST(SpillDistinctTest, SpillsUnderBudgetAndFailsTypedWhenDisabled) {
   // DISTINCT is a hash aggregate over the projected columns, so over
   // budget it spills like GROUP BY and returns every distinct row.
@@ -342,15 +480,6 @@ TEST(SpillExplainTest, AnalyzeReportsSpillRunsAndPeakMem) {
 // ---------------------------------------------------------------------
 // Fault injection into the spill write path
 
-bool AnySpillFilesLeft(const std::string& root) {
-  const std::filesystem::path dir = root + "/tablespace";
-  if (!std::filesystem::exists(dir)) return false;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.path().filename().string().rfind("spill", 0) == 0) return true;
-  }
-  return false;
-}
-
 class SpillFaultTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -405,6 +534,60 @@ TEST_F(SpillFaultTest, TornSpillWriteFailsStatementOnly) {
   Result<QueryResult> ok = engine_->Execute(kSpillQuery);
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_EQ(ok->rows.size(), static_cast<size_t>(kGroups));
+}
+
+TEST_F(SpillFaultTest, JoinSpillFaultsFailStatementOnly) {
+  // The join's build side (big) is many times the budget, so it spills at
+  // level 0 and every level-0 partition is partitioned again at level 1.
+  LoadBig(db_.get());
+  const char* kJoinQuery = "SELECT t.v, big.w FROM t JOIN big ON t.k = big.k";
+  Result<QueryResult> ref = engine_->Execute(kJoinQuery);
+  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+  const std::vector<std::string> want = RowStrings(*ref);
+  ASSERT_EQ(want.size(), static_cast<size_t>(kRows));
+
+  // Mutating ops of the statement once the WAL is open: op 0 creates the
+  // level-0 spill file, whose 32 pages are written back when its runs are
+  // sealed, each as a WAL append (odd op) and a data append (even op).
+  // The build runs fill and seal before the probe runs, so the first page
+  // (op 2) holds build rows and the last (op 64) probe rows. Op 65 creates
+  // the first level-1 re-partition's file and op 67 writes its first
+  // page. A level-0 write fails with exactly the level-0 runs sealed; a
+  // level-1 write fails after some level-1 runs were sealed too.
+  struct Point {
+    const char* phase;
+    int64_t op;
+    bool level0;
+  };
+  for (const auto kind : {storage::FaultPlan::Kind::kNoSpace,
+                          storage::FaultPlan::Kind::kTornWrite}) {
+    for (const Point& point : {Point{"build", 2, true},
+                               Point{"probe", 64, true},
+                               Point{"level-1", 67, false}}) {
+      SCOPED_TRACE(std::string(point.phase) +
+                   (kind == storage::FaultPlan::Kind::kNoSpace ? " ENOSPC"
+                                                               : " torn"));
+      Arm(kind, point.op);
+      const uint64_t runs_before = SpillRunsCounter();
+      Result<QueryResult> failed = engine_->Execute(kJoinQuery);
+      ASSERT_FALSE(failed.ok());
+      EXPECT_TRUE(vfs_->fault_fired());
+      EXPECT_NE(failed.status().message().find("spill_join"),
+                std::string::npos)
+          << failed.status().ToString();
+      const uint64_t runs = SpillRunsCounter() - runs_before;
+      if (point.level0) {
+        EXPECT_EQ(runs, 2 * exec::kSpillPartitions);
+      } else {
+        EXPECT_GT(runs, 2 * exec::kSpillPartitions);
+      }
+      Heal();
+      EXPECT_FALSE(AnySpillFilesLeft(db_->options().filestream_root));
+      Result<QueryResult> ok = engine_->Execute(kJoinQuery);
+      ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+      EXPECT_EQ(RowStrings(*ok), want);
+    }
+  }
 }
 
 TEST_F(SpillFaultTest, TransientEioOnSpillWriteIsAbsorbed) {

@@ -89,6 +89,12 @@ Rules (ids usable in NOLINT suppressions):
                     MemoryContext) so the bytes count against the query
                     budget and can trigger spilling. Fixed-size literal
                     reservations and arity-sized scratch are exempt.
+  exec-spill-partition
+                    `SpillRowHash(` appears only in
+                    src/exec/spill_util.{h,cc}: rows reach spill partitions
+                    through exec::PartitionSpill, the one partition spill of
+                    the hash aggregate and the hash join. A second
+                    partitioner would be a second spill path.
 
 Suppression: append `// NOLINT(htg-<rule>)` to the offending line (or a
 bare NOLINT comment, honoured for compatibility with clang-tidy). Lint
@@ -600,6 +606,22 @@ LINT_ROOT = os.getcwd()
 _documented_env = None
 
 
+SPILL_HASH_RE = re.compile(r"\bSpillRowHash\s*\(")
+
+
+def check_exec_spill_partition(path, text, rel):
+    # Selftest fixtures arrive with a bare filename, which must still trip
+    # the rule.
+    if rel.replace(os.sep, "/").startswith("src/exec/spill_util."):
+        return []
+    return [
+        Finding(path, line_of(text, m.start()), "exec-spill-partition",
+                "SpillRowHash( outside src/exec/spill_util.{h,cc}; spill "
+                "rows through exec::PartitionSpill, the one partition spill")
+        for m in SPILL_HASH_RE.finditer(text)
+    ]
+
+
 def documented_env_vars():
     """HTG_* names mentioned anywhere in docs/OPERATIONS.md."""
     global _documented_env
@@ -796,6 +818,8 @@ RULES = {
     "exec-batch-rowloop": (check_exec_batch_rowloop, ("src",), False),
     "exec-untracked-reserve":
         (check_exec_untracked_reserve, ("src",), False),
+    "exec-spill-partition":
+        (check_exec_spill_partition, ("src", "bench", "tests"), False),
     # env-doc matches quoted knob names, so it needs unstripped text.
     "env-doc": (check_env_doc, ("src", "bench"), True),
     # Reads the knob table of docs/OPERATIONS.md, backticks and all.
@@ -827,6 +851,8 @@ RULE_DESCRIPTIONS = {
                           "kernels",
     "exec-untracked-reserve": "data-proportional row buffers hold a "
                               "MemoryCharge",
+    "exec-spill-partition": "SpillRowHash( appears only in "
+                            "src/exec/spill_util.{h,cc}",
     "env-doc": "every HTG_* env knob is documented in docs/OPERATIONS.md",
     "env-doc-stale": "every runtime-knob row in docs/OPERATIONS.md is "
                      "read by src/ or bench/",
